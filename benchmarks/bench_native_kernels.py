@@ -1,12 +1,11 @@
-"""E27 — native/batched kernel backends vs the pure scalar path.
+"""E27 — the batched kernel backend vs the pure per-call oracle.
 
-The strings kernels dispatch through :mod:`repro.strings.native`: with
-numba present the inner DP loops are compiled; without it (this gate's
-container) the *batch* backend still replaces thousands of per-call
-scalar kernel invocations with a handful of vectorised NumPy batch
-calls.  The contract is that backends differ **only in wall-clock**:
-distances, work ledgers, ``strings.dp_cells`` metering and kernel-probe
-call/cell attribution are byte-identical.
+The batched string kernels dispatch through :mod:`repro.strings.native`:
+the *batch* backend replaces thousands of per-call kernel invocations
+with a handful of vectorised NumPy batch calls, and ``pure`` runs every
+call on its own.  The contract is that backends differ **only in
+wall-clock**: distances, work ledgers and the kernel events (hence
+``strings.dp_cells`` and profile calls/cells) are byte-identical.
 
 This experiment drives the real workloads through both backends:
 
@@ -22,8 +21,7 @@ This experiment drives the real workloads through both backends:
 Gates: >= 10x on the banded-threshold kernel batch (the scalar path is
 a per-row python loop, so batching wins big), conservative floors on
 the already-NumPy sparse/doubling paths (~2-3x measured), >= 1.3x
-end-to-end on E13, and strict equality everywhere.  With numba
-installed the compiled paths raise all of these further.
+end-to-end on E13, and strict equality everywhere.
 """
 
 import time

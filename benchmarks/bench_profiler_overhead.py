@@ -4,19 +4,17 @@ Two claims are measured on the Ulam workload (protocol of E21: the
 variants are interleaved within each repetition and compared pairwise
 per rep, so back-to-back runs see the same system load):
 
-1. **Free when disabled** (the library default): ``KernelProbe.begin``
-   is one module-attribute read returning the ``-1.0`` sentinel and
-   ``end`` one float comparison, so a run with the profiler off must
-   leave *zero* trace — no ``profile`` block in the summary, no global
-   aggregate growth.
+1. **Free when disabled** (the library default): a run with the
+   profiler off must leave *zero* trace — no ``profile`` block in the
+   summary, no global aggregate growth.
 2. **Cheap when enabled**: full per-(kernel, round, machine)
    wall-clock attribution must stay within 5 % of the disabled run,
    so the CLI can profile every run it records into the history.
 
 One identity is asserted as well: the profiler's per-kernel DP-cell
 total must exactly equal the metrics registry's ``strings.dp_cells``
-counter for the same kernel over the machine rounds — two independent
-observation paths, one execution.
+counter for the same kernel over the machine rounds — two views
+derived from the same kernel events.
 """
 
 import time

@@ -26,6 +26,7 @@ import sys
 import time
 
 from repro.analysis import format_table
+from repro.cli import _serve_latency_report
 from repro.service import run_workload
 from repro.workloads.permutations import planted_pair as perm_pair
 from repro.workloads.strings import planted_pair as str_pair
@@ -74,11 +75,6 @@ def _run_one_shot(algo: str, seed: int):
     return record["summary"]["distance"], wall
 
 
-def _percentile(sorted_values, q):
-    idx = round(q * (len(sorted_values) - 1))
-    return sorted_values[max(0, min(len(sorted_values) - 1, int(idx)))]
-
-
 def _run():
     queries = _workload()
 
@@ -92,7 +88,7 @@ def _run():
     outcomes, service_wall = run_workload(queries,
                                           check_guarantees=False)
 
-    latencies = sorted(o.latency_seconds for o in outcomes)
+    latency = _serve_latency_report(outcomes, service_wall)
     one_shot_per_query = sum(one_shot_walls) / len(one_shot_walls)
     service_per_query = service_wall / len(outcomes)
     return {
@@ -103,9 +99,9 @@ def _run():
         "service_total_s": service_wall,
         "service_per_query_s": service_per_query,
         "speedup": one_shot_per_query / service_per_query,
-        "p50_s": _percentile(latencies, 0.50),
-        "p99_s": _percentile(latencies, 0.99),
-        "qps": len(outcomes) / service_wall,
+        "p50_s": latency["p50_latency_seconds"],
+        "p99_s": latency["p99_latency_seconds"],
+        "qps": latency["queries_per_second"],
     }
 
 

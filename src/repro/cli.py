@@ -67,8 +67,8 @@ docs/ARCHITECTURE.md, "Data plane: logical words vs physical bytes".
 (:mod:`repro.metrics`), append a run record to the JSONL history
 (disable with ``--no-history``), print it as JSON with ``--json``, and
 check the paper's guarantees with ``--check-guarantees`` (non-zero exit
-on violation) — see docs/ARCHITECTURE.md, "Metrics vs spans vs
-registry".
+on violation) — see docs/ARCHITECTURE.md, "Observability: one kernel
+event, derived views".
 
 File inputs (``--s-file`` / ``--t-file``) are read as text; otherwise a
 seeded workload with a planted distance is generated.
@@ -141,14 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--comm", action="store_true",
                        help="also print the per-round communication "
                             "ledger (shuffle/broadcast words)")
-        native_opts(p)
-
-    def native_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--no-native", action="store_true",
-                       help="force the pure-python kernel backend "
-                            "(disables compiled/batched DP kernels; "
-                            "distances and ledgers are identical either "
-                            "way, only wall-clock changes)")
 
     def telemetry_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--trace", type=str, default=None, metavar="PATH",
@@ -318,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "faults) and exit 1 when any error budget "
                          "burns above 1x")
     data_plane_opts(sv)
-    native_opts(sv)
     telemetry_opts(sv)
     registry_opts(sv)
 
@@ -340,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="root seed; query i runs with seed+i")
     sb.add_argument("--queries", type=int, default=8,
                     help="number of concurrent queries (default 8)")
-    native_opts(sb)
     registry_opts(sb)
 
     from .registry import DEFAULT_HISTORY_PATH
@@ -749,24 +739,10 @@ def _http_get(url: str, timeout: float = 5.0):
         return exc.code, exc.read().decode("utf-8")
 
 
-def _parse_prometheus(text: str) -> dict:
-    """``{sample_name_with_labels: float}`` from Prometheus text."""
-    out: dict = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, value = line.rpartition(" ")
-        try:
-            out[name] = float(value)
-        except ValueError:
-            continue
-    return out
-
-
 def _cmd_top(args) -> int:
     """One `repro top` loop: poll /healthz + /metrics, print a view."""
     import time as _time
+    from .obs.exporter import parse_prometheus
     base = args.url.rstrip("/")
     iterations = 1 if args.once else args.iterations
     shown = 0
@@ -779,7 +755,7 @@ def _cmd_top(args) -> int:
             print(f"top: {base}: {exc}", file=sys.stderr)
             return 1
         health = json.loads(h_body) if h_code in (200, 503) else {}
-        samples = _parse_prometheus(m_body) if m_code == 200 else {}
+        samples = parse_prometheus(m_body) if m_code == 200 else {}
         prof = json.loads(p_body) if p_code == 200 else {}
         view = {
             "service": health.get("service") or "-",
@@ -1026,10 +1002,6 @@ def _generate_kind(distance: str) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    if getattr(args, "no_native", False):
-        from .strings.native import set_backend
-        set_backend("pure")
-
     if args.command == "table1":
         from .baselines.theory import table1_rows
         rows = table1_rows(args.n, args.x)
@@ -1102,7 +1074,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return code
 
     if args.command == "engines":
-        from .strings.native import kernel_backend, numba_available
+        from .strings.native import kernel_backend
         engines = all_engines()
         if args.distance:
             engines = [e for e in engines
@@ -1136,8 +1108,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ["engine", "distances", "guarantee", "model", "regime",
              "cost", "paper"], rows))
         print(f"\nkernel backend: {kernel_backend()} "
-              f"(numba {'available' if numba_available() else 'absent'};"
-              " force pure with --no-native or REPRO_NO_NATIVE=1)")
+              "(force the pure per-call oracle with REPRO_NO_NATIVE=1)")
         return 0
 
     if args.command == "chaos":

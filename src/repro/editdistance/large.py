@@ -79,7 +79,7 @@ def _solver_pair_distances(pairs: List[Tuple[np.ndarray, np.ndarray]],
                            solver_kind: str, eps_inner: float) -> List[int]:
     """Inner-solver distances for explicit (string, window) pairs.
 
-    The ``banded`` solver under a native backend batches all cache
+    The ``banded`` solver under the batch backend batches all cache
     misses into one :func:`levenshtein_doubling_batch` call; other
     solvers (and the ``pure`` backend) evaluate per pair exactly as
     before.  Intra-batch duplicate content keys resolve as one miss

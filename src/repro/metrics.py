@@ -39,10 +39,12 @@ Scope
 -----
 The registry is process-local.  Under the default
 :class:`~repro.mpc.executor.SerialExecutor` every machine function runs
-in the driver process, so kernel-level counters cover the whole run;
-under a :class:`~repro.mpc.executor.ProcessPoolExecutor` only
-driver-side instruments (shuffle/broadcast accounting, driver phase
-counters) are complete — worker-process increments stay in the workers.
+in the driver process, so every counter covers the whole run.  Under a
+:class:`~repro.mpc.executor.ProcessPoolExecutor` the driver-side
+instruments (shuffle/broadcast accounting, driver phase counters) and
+the ``strings.*`` kernel counters — derived in the driver from each
+machine's kernel events, see :mod:`repro.obs.profile` — are complete;
+other increments made inside machine functions stay in the workers.
 
 Mutation (obtaining a ``counter``/``gauge``/``histogram`` handle) is an
 internal privilege of ``src/repro/``: tests, examples and benchmarks

@@ -24,28 +24,16 @@ are attributed identically under both executors.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import os
 import pickle
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
-from ..obs.profile import enable as _enable_profiling, profiling_enabled
+from ..obs.profile import metering_enabled
 from .machine import Broadcast, MachineResult, MachineTask, execute_task
 
 __all__ = ["Executor", "SerialExecutor", "ProcessPoolExecutor"]
-
-
-def _worker_init(profiling_on: bool) -> None:
-    """Pool-worker initializer: replicate driver-side profiler state.
-
-    The kernel profiler's on/off switch is a module global; fork-started
-    workers happen to inherit it, but spawn-started workers would not.
-    Capturing the flag at pool construction and re-applying it here makes
-    :class:`~repro.mpc.machine.MachineResult.profile` collection
-    start-method-independent.
-    """
-    if profiling_on:
-        _enable_profiling()
 
 
 class Executor:
@@ -108,12 +96,12 @@ def _resolve_broadcast(token: int, data: bytes) -> dict:
     return value
 
 
-def _execute_batch(batch: Tuple[Optional[Tuple[int, bytes]],
-                                List[MachineTask]]) -> List[MachineResult]:
+def _execute_batch(batch: Tuple[Tuple[int, bytes], List[MachineTask], bool]
+                   ) -> List[MachineResult]:
     """Worker entry point: run one batch of tasks sharing one broadcast."""
-    ref, tasks = batch
-    value = _resolve_broadcast(*ref) if ref is not None else None
-    return [execute_task(task, value) for task in tasks]
+    ref, tasks, metered = batch
+    value = _resolve_broadcast(*ref)
+    return [execute_task(task, value, metered) for task in tasks]
 
 
 class ProcessPoolExecutor(Executor):
@@ -163,9 +151,7 @@ class ProcessPoolExecutor(Executor):
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._pool is None:
             self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_worker_init,
-                initargs=(profiling_enabled(),))
+                max_workers=self.max_workers)
         return self._pool
 
     def run(self, tasks: Sequence[MachineTask],
@@ -173,10 +159,13 @@ class ProcessPoolExecutor(Executor):
         if not tasks:
             return []
         pool = self._ensure_pool()
+        # Workers meter kernels exactly when the driver does, whatever
+        # the switches were when the pool started.
+        metered = metering_enabled()
         if broadcast is None:
-            return list(pool.map(execute_task, tasks,
-                                 chunksize=self.effective_chunksize(
-                                     len(tasks))))
+            return list(pool.map(
+                functools.partial(execute_task, metered=metered), tasks,
+                chunksize=self.effective_chunksize(len(tasks))))
         # Broadcast round: ship the blob once per *batch* and cut the
         # round into at most ``max_workers`` batches, so the serialised
         # bytes cross the process boundary at most once per worker (the
@@ -184,7 +173,7 @@ class ProcessPoolExecutor(Executor):
         # inside Broadcast.pickled()).
         ref = (broadcast.token, broadcast.pickled())
         per_batch = -(-len(tasks) // self.max_workers)
-        batches = [(ref, list(tasks[lo:lo + per_batch]))
+        batches = [(ref, list(tasks[lo:lo + per_batch]), metered)
                    for lo in range(0, len(tasks), per_batch)]
         out: List[MachineResult] = []
         for chunk in pool.map(_execute_batch, batches, chunksize=1):

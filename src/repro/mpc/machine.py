@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from ..obs.profile import collect_profile
+from ..obs import profile
 from .accounting import WorkMeter, isolated_meters
 from .shm import resolve_payload
 
@@ -110,11 +110,11 @@ class MachineResult:
     ``time.perf_counter()`` start (a system-wide monotonic clock on
     Linux, hence comparable across workers and the driver).
 
-    ``profile`` rides the same way for the kernel profiler
-    (:mod:`repro.obs.profile`): ``{kernel: [calls, cells, seconds]}``
-    collected around the machine function, or ``None`` when profiling
-    was disabled in the executing process — the simulator folds it into
-    the round ledger exactly like span data.
+    ``profile`` rides the same way for the kernel meter
+    (:mod:`repro.obs.profile`): the machine's kernel events as
+    ``{kernel: [calls, cells, seconds]}``, or ``None`` when metering
+    was off — the simulator derives the registry counters and the
+    kernel profile from it (:func:`repro.obs.profile.fold_machine`).
     """
 
     output: Any
@@ -126,8 +126,8 @@ class MachineResult:
 
 
 def execute_task(task: MachineTask,
-                 broadcast: Optional[Dict[str, Any]] = None
-                 ) -> MachineResult:
+                 broadcast: Optional[Dict[str, Any]] = None,
+                 metered: Optional[bool] = None) -> MachineResult:
     """Run one machine task, metering its abstract work and wall time.
 
     *broadcast* is the already-resolved shared dict of the task's round
@@ -136,7 +136,9 @@ def execute_task(task: MachineTask,
     had replicated the data into every payload.
 
     This function is the process-pool entry point, so it must stay
-    top-level and picklable.
+    top-level and picklable.  A pool passes *metered*, the driver's
+    :func:`~repro.obs.profile.metering_enabled`, so the worker records
+    kernel events exactly when the driver derives views from them.
 
     Data-plane descriptors (:class:`repro.mpc.shm.SharedSlice`) inside
     the payload are resolved into numpy views *here*, in the executing
@@ -144,12 +146,14 @@ def execute_task(task: MachineTask,
     and fault-injecting executors — and outside the work meter, because
     resolution is transport, not machine compute.
     """
+    if metered is not None:
+        (profile.enable if metered else profile.disable)()
     start = time.perf_counter()
     payload = merge_broadcast(resolve_payload(task.payload), broadcast)
     with isolated_meters(), WorkMeter() as meter, \
-            collect_profile() as prof:
+            profile.machine_events() as events:
         output = task.fn(payload)
     return MachineResult(output=output, work=meter.total,
                          wall_seconds=time.perf_counter() - start,
                          worker=os.getpid(), started=start,
-                         profile=prof.data)
+                         profile=events.data)

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..obs.profile import fold_global
+from ..obs.profile import fold_machine, profiling_enabled
 from .accounting import RoundStats, add_work
 from .chaos_executor import FaultInjectingExecutor
 from .errors import RoundFailedError, RoundProtocolError
@@ -224,7 +224,8 @@ class ResilientSimulator(MPCSimulator):
                             work=result.work, input_words=input_sizes[i],
                             broadcast_words=broadcast_words,
                             wasted=True, fault=fault_kind(result.output),
-                            profile=result.profile or {}))
+                            profile=(result.profile or {})
+                            if profiling_enabled() else {}))
                 else:
                     results[i] = result
                     success_attempt[i] = attempt
@@ -256,12 +257,13 @@ class ResilientSimulator(MPCSimulator):
             round_stats.observe_machine(input_sizes[i], out_words,
                                         result.work)
             add_work(result.work)
-            # Only surviving attempts reach the kernel-profile ledger:
-            # wasted attempts are accounted as wasted_work, and folding
-            # their kernels in would misattribute the run's hot spots.
-            if result.profile:
-                round_stats.observe_profile(i, result.profile)
-                fold_global(result.profile, *current_trace())
+            # Only surviving attempts reach the counters and the kernel
+            # profile: wasted attempts are accounted as wasted_work, and
+            # folding their kernels in would misattribute the run's hot
+            # spots (and make chaos runs count differently from clean
+            # ones).
+            span_profile = fold_machine(round_stats, i, result.profile,
+                                        *current_trace())
             if tracer is not None:
                 tracer.emit(Span(
                     kind="machine", name=name, machine=i,
@@ -271,7 +273,7 @@ class ResilientSimulator(MPCSimulator):
                     work=result.work, input_words=input_sizes[i],
                     output_words=out_words,
                     broadcast_words=broadcast_words,
-                    profile=result.profile or {}))
+                    profile=span_profile))
             outputs.append(result.output)
 
         round_stats.attempts = attempt

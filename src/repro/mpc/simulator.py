@@ -29,7 +29,7 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from typing import Dict, Tuple
 
-from ..obs.profile import fold_global
+from ..obs.profile import fold_machine
 from .accounting import RoundStats, RunStats, add_work
 from .errors import MemoryLimitExceeded, RoundProtocolError
 from .executor import Executor, SerialExecutor
@@ -183,9 +183,8 @@ class MPCSimulator:
             # itself, so ``with WorkMeter() as m: algo(sim)`` sees the whole
             # computation even under a process-pool executor.
             add_work(result.work)
-            if result.profile:
-                round_stats.observe_profile(i, result.profile)
-                fold_global(result.profile, *current_trace())
+            span_profile = fold_machine(round_stats, i, result.profile,
+                                        *current_trace())
             if tracer is not None:
                 tracer.emit(Span(
                     kind="machine", name=name, machine=i,
@@ -194,7 +193,7 @@ class MPCSimulator:
                     work=result.work, input_words=input_sizes[i],
                     output_words=out_words,
                     broadcast_words=broadcast_words,
-                    profile=result.profile or {}))
+                    profile=span_profile))
             outputs.append(result.output)
 
         if tracer is not None:

@@ -11,11 +11,12 @@ Three pillars, built on the correlation ids the service mints per query
 * **SLO monitor** (:mod:`.slo`) — per-engine objectives with rolling
   error-budget burn rates, behind ``repro serve --slo`` and the
   ``tools/check_slo.py`` CI gate;
-* **kernel profiler** (:mod:`.profile`) — per-(kernel, round, machine,
-  query) wall-clock/cells attribution riding the ``strings.dp_cells``
-  choke points, with flamegraph export (``repro profile``), the
-  differential profiler (``repro profdiff``) and a ``/profile``
-  endpoint on the exporter.
+* **kernel meter and profiler** (:mod:`.profile`) — one ``(calls,
+  cells, seconds)`` event per kernel call, from which the
+  ``strings.*`` registry counters and the per-(kernel, round, machine,
+  query) attribution are derived, with flamegraph export (``repro
+  profile``), the differential profiler (``repro profdiff``) and a
+  ``/profile`` endpoint on the exporter.
 """
 
 from .exporter import ObservabilityServer, prometheus_exposition, \

@@ -41,7 +41,8 @@ from typing import Dict, Optional
 
 from ..metrics import MetricSnapshot, get_registry
 
-__all__ = ["ObservabilityServer", "prometheus_exposition", "render_health"]
+__all__ = ["ObservabilityServer", "prometheus_exposition",
+           "parse_prometheus", "render_health"]
 
 
 def _prom_name(key: str) -> str:
@@ -108,6 +109,26 @@ def prometheus_exposition(snapshot: MetricSnapshot,
     if status is not None:
         lines.extend(_status_lines(status))
     return "\n".join(lines) + "\n"
+
+
+def parse_prometheus(text: str) -> Dict[str, float]:
+    """``{sample_name_with_labels: value}`` from Prometheus text.
+
+    The inverse of :func:`prometheus_exposition` for sample lines:
+    comments and ``# TYPE`` lines are skipped, as are samples whose
+    value does not parse.  ``repro top`` reads ``/metrics`` with it.
+    """
+    out: Dict[str, float] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, _, value = line.rpartition(" ")
+        try:
+            out[name] = float(value)
+        except ValueError:
+            continue
+    return out
 
 
 def _status_lines(status: dict) -> list:

@@ -1,35 +1,36 @@
-"""Kernel-attribution profiler: who owns the wall-clock, per kernel.
+"""Kernel metering: one event per kernel call, every view derived from it.
 
-The metrics registry (:mod:`repro.metrics`) counts *what* the string
-kernels did (``strings.dp_cells`` per kernel label) and span telemetry
-(:mod:`repro.mpc.telemetry`) records *where machine time went* — but
-neither says which *kernel* owned a machine's wall-clock.  This module
-closes that gap with a deliberately tiny probe riding the exact choke
-points that already tick ``strings.dp_cells``:
+Each metered string kernel holds a module-level :class:`KernelProbe`
+(``_PROBE = kernel_probe("banded")``) and brackets its executed loop
+with ``t0 = _PROBE.begin()`` / ``_PROBE.end(t0, cells)``.  That single
+``(calls, cells, seconds)`` event is the only record of the call; the
+three views of it are *derived*:
 
-* each instrumented kernel holds a module-level :class:`KernelProbe`
-  (``_PROBE = kernel_probe("banded")``) and brackets its hot loop with
-  ``t0 = _PROBE.begin()`` / ``_PROBE.end(t0, cells)``;
-* when profiling is **off** (the default) ``begin`` is a single module
-  attribute read returning the ``-1.0`` sentinel and ``end`` is one
-  float comparison — the same cheap-no-op discipline as
-  :func:`repro.mpc.accounting.add_work` and the metrics registry;
-* when **on**, ``end`` charges ``(calls, cells, seconds)`` to every
-  active :class:`collect_profile` accumulator on a thread-local stack
-  (the :class:`~repro.mpc.accounting.WorkMeter` pattern), and
-  :func:`repro.mpc.machine.execute_task` opens one accumulator per
-  machine so per-kernel attribution crosses the process-pool boundary
-  as a plain dict on :class:`~repro.mpc.machine.MachineResult` —
-  exactly like spans do.
+* the ``strings.kernel_calls`` / ``strings.dp_cells`` registry counters
+  (:mod:`repro.metrics`), when metrics are enabled;
+* ``RoundStats.kernel_profile`` — the ``profile`` block of
+  :meth:`~repro.mpc.accounting.RunStats.summary`, hence history
+  records — when profiling is enabled;
+* the process-global aggregate behind the ``/profile`` endpoint of
+  :class:`repro.obs.ObservabilityServer`, also when profiling is
+  enabled, with a bounded per-query breakdown keyed on the ambient
+  :func:`~repro.mpc.telemetry.current_trace` pair.
 
-The simulator folds machine profiles into
-``RoundStats.kernel_profile`` (driving the ``profile`` block of
-:meth:`~repro.mpc.accounting.RunStats.summary`, hence history records)
-and into a process-global aggregate served by the
-``/profile`` endpoint of :class:`repro.obs.ObservabilityServer`.  The
-global aggregate keys a bounded per-query breakdown on the ambient
-:func:`~repro.mpc.telemetry.current_trace` pair, so service queries
-get per-query attribution through the existing contextvar scopes.
+Inside a machine, :func:`repro.mpc.machine.execute_task` opens a
+:class:`machine_events` record; events land there and ride back to the
+driver as :attr:`~repro.mpc.machine.MachineResult.profile`
+(``{kernel: [calls, cells, seconds]}``), across the process-pool
+boundary like spans do.  The simulator (and the retry path, for the
+surviving attempt only) hands each record to :func:`fold_machine`,
+which derives all three views in the query's own metrics scope — so
+serial and pool runs produce identical counters.  Kernel calls outside
+any machine increment the registry directly.
+
+When neither metrics nor profiling is on (the default) ``begin`` is two
+attribute reads returning the ``-1.0`` sentinel and ``end`` is one
+float comparison — the same cheap-no-op discipline as
+:func:`repro.mpc.accounting.add_work`.  Work charges (``add_work``)
+are separate and unconditional: they are the paper's resource ledger.
 
 On top of the raw data this module provides the presentation layer:
 collapsed-stack (Brendan Gregg flamegraph) export, per-kernel totals,
@@ -50,7 +51,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import time
 
+from ..metrics import Counter, get_registry
+
 __all__ = ["KernelProbe", "kernel_probe", "collect_profile",
+           "machine_events", "fold_machine", "metering_enabled",
            "enable", "disable", "profiling_enabled", "enabled",
            "inject_slowdown", "merge_profile",
            "fold_global", "global_profile", "reset_global_profile",
@@ -58,31 +62,65 @@ __all__ = ["KernelProbe", "kernel_probe", "collect_profile",
            "hot_kernels", "diff_profiles", "format_profile_diff",
            "flame_from_record", "flame_from_spans", "write_collapsed"]
 
-#: Master switch.  Read once per probe hit; rebound by enable()/disable().
+#: Profiling switch.  Read once per probe hit; rebound by enable()/disable().
 _ENABLED = False
+
+_REGISTRY = get_registry()
 
 #: kernel name -> injected per-call delay in seconds (testing facility).
 #: Empty in production, so the hot path pays one falsy check.
 _DELAYS: Dict[str, float] = {}
 
-_local = threading.local()
+
+class _Local(threading.local):
+    """Per-thread event sinks: the running machine's record (if any)
+    and the stack of :class:`collect_profile` observers."""
+
+    machine: Optional[Dict[str, list]] = None
+
+    def __init__(self) -> None:
+        self.observers: List[Dict[str, list]] = []
 
 
-def _accumulators() -> List[Dict[str, List[float]]]:
-    accs = getattr(_local, "accs", None)
-    if accs is None:
-        accs = []
-        _local.accs = accs
-    return accs
+_local = _Local()
+
+#: kernel -> (strings.kernel_calls, strings.dp_cells) registry handles.
+_COUNTERS: Dict[str, Tuple[Counter, Counter]] = {}
+
+
+def _add(data: Dict[str, list], kernel: str, calls: int, cells: int,
+         seconds: float) -> None:
+    rec = data.get(kernel)
+    if rec is None:
+        data[kernel] = [calls, cells, seconds]
+    else:
+        rec[0] += calls
+        rec[1] += cells
+        rec[2] += seconds
+
+
+def _count(kernel: str, calls: int, cells: int) -> None:
+    """Increment the registry counters of *kernel* (metrics enabled)."""
+    pair = _COUNTERS.get(kernel)
+    if pair is None:
+        pair = _COUNTERS[kernel] = (
+            _REGISTRY.counter("strings.kernel_calls", kernel=kernel),
+            _REGISTRY.counter("strings.dp_cells", kernel=kernel))
+    pair[0].inc(calls)
+    pair[1].inc(cells)
+
+
+def metering_enabled() -> bool:
+    """Whether kernel events are recorded (metrics or profiling on)."""
+    return _ENABLED or _REGISTRY._enabled
 
 
 class KernelProbe:
-    """Per-kernel timing probe bracketing a kernel's hot loop.
+    """The meter of one kernel: one event per executed kernel loop.
 
-    Held at module level by each instrumented kernel; ``begin``/``end``
-    collapse to an attribute read plus a float comparison when
-    profiling is disabled, so the probe can sit on every call path
-    unconditionally.
+    Held at module level by each metered kernel; ``begin``/``end``
+    collapse to attribute reads plus a float comparison when metering
+    is off, so the probe can sit on every call path unconditionally.
     """
 
     __slots__ = ("kernel",)
@@ -91,65 +129,46 @@ class KernelProbe:
         self.kernel = kernel
 
     def begin(self) -> float:
-        """Start timing; returns the ``-1.0`` sentinel when disabled."""
-        if not _ENABLED:
+        """Start timing; returns the ``-1.0`` sentinel when metering
+        is off."""
+        if not (_ENABLED or _REGISTRY._enabled):
             return -1.0
         return time.perf_counter()
 
-    def end(self, t0: float, cells: int) -> None:
-        """Charge one call of *cells* DP cells ending now to all
-        active accumulators.  No-op when ``begin`` returned the
-        disabled sentinel."""
-        if t0 < 0.0:
-            return
-        if _DELAYS:
-            extra = _DELAYS.get(self.kernel, 0.0)
-            if extra > 0.0:
-                # Sleep inside the measured window so an injected
-                # slowdown is genuinely *observed* by the profiler,
-                # not merely configured.
-                time.sleep(extra)
-        dt = time.perf_counter() - t0
-        for data in _accumulators():
-            rec = data.get(self.kernel)
-            if rec is None:
-                data[self.kernel] = [1, cells, dt]
-            else:
-                rec[0] += 1
-                rec[1] += cells
-                rec[2] += dt
-
-    def end_batch(self, t0: float, calls: int, cells: int) -> None:
-        """Charge *calls* logical calls totalling *cells* DP cells to
-        one timing window ending now.
-
-        Batched kernel dispatch evaluates many logical calls inside one
-        native invocation; folding the batch as ``calls`` calls keeps
-        profile call/cell counts byte-identical to the per-call path —
-        only the seconds column reflects the batching win.
+    def end(self, t0: float, cells: int, calls: int = 1) -> None:
+        """Record one event: *calls* logical calls (a batched kernel
+        executes many in one loop) totalling *cells* DP cells, timed
+        from *t0* to now.  No-op when ``begin`` returned the sentinel.
         """
         if t0 < 0.0:
             return
         if _DELAYS:
             extra = _DELAYS.get(self.kernel, 0.0)
             if extra > 0.0:
-                # One injected delay per logical call, as the per-call
-                # path would have observed.
+                # Sleep inside the measured window, once per logical
+                # call, so an injected slowdown is genuinely *observed*
+                # by the profiler, not merely configured.
                 time.sleep(extra * calls)
-        dt = time.perf_counter() - t0
-        for data in _accumulators():
-            rec = data.get(self.kernel)
-            if rec is None:
-                data[self.kernel] = [calls, cells, dt]
-            else:
-                rec[0] += calls
-                rec[1] += cells
-                rec[2] += dt
+        seconds = time.perf_counter() - t0
+        local = _local
+        if local.machine is not None:
+            _add(local.machine, self.kernel, calls, cells, seconds)
+        elif _REGISTRY._enabled:
+            _count(self.kernel, calls, cells)
+        for data in local.observers:
+            _add(data, self.kernel, calls, cells, seconds)
+
+
+#: kernel name -> its one meter (every meter is constructed here).
+_PROBES: Dict[str, KernelProbe] = {}
 
 
 def kernel_probe(kernel: str) -> KernelProbe:
-    """A probe handle for *kernel* (module-level, like metric handles)."""
-    return KernelProbe(kernel)
+    """The meter of *kernel* (module-level, like metric handles)."""
+    probe = _PROBES.get(kernel)
+    if probe is None:
+        probe = _PROBES.setdefault(kernel, KernelProbe(kernel))
+    return probe
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +238,11 @@ class inject_slowdown:
 
 
 class collect_profile:
-    """Accumulate per-kernel ``[calls, cells, seconds]`` for a block.
+    """Observe per-kernel ``[calls, cells, seconds]`` for a block.
 
-    ``data`` is ``None`` when profiling is disabled (so callers ship
-    nothing), else a plain picklable dict — the exact shape that rides
-    :class:`~repro.mpc.machine.MachineResult` back to the driver.
-    Collectors nest and stack per thread, like
-    :class:`~repro.mpc.accounting.WorkMeter`.
+    ``data`` is ``None`` when profiling is disabled, else a plain dict.
+    Observers nest and stack per thread and see every event of the
+    block, machine or not; they feed no derived view.
     """
 
     __slots__ = ("data",)
@@ -233,14 +250,62 @@ class collect_profile:
     def __enter__(self) -> "collect_profile":
         if _ENABLED:
             self.data: Optional[Dict[str, List[float]]] = {}
-            _accumulators().append(self.data)
+            _local.observers.append(self.data)
         else:
             self.data = None
         return self
 
     def __exit__(self, *exc) -> None:
         if self.data is not None:
-            _accumulators().remove(self.data)
+            _local.observers.remove(self.data)
+
+
+class machine_events:
+    """The kernel-event record of one machine task.
+
+    Opened by :func:`repro.mpc.machine.execute_task`.  ``data`` is
+    ``None`` when metering is off, else the ``{kernel: [calls, cells,
+    seconds]}`` dict that rides
+    :attr:`~repro.mpc.machine.MachineResult.profile` back to the driver
+    for :func:`fold_machine`.  While it is open, events skip the
+    registry: the driver derives the counters from the record.
+    """
+
+    __slots__ = ("data", "_saved")
+
+    def __enter__(self) -> "machine_events":
+        self._saved = _local.machine
+        self.data: Optional[Dict[str, list]] = \
+            {} if metering_enabled() else None
+        _local.machine = self.data
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _local.machine = self._saved
+
+
+def fold_machine(round_stats, machine: int,
+                 events: Optional[Mapping[str, Sequence[float]]],
+                 trace_id: str = "", query_id: int = -1
+                 ) -> Mapping[str, Sequence[float]]:
+    """Derive every view of one machine's kernel events.
+
+    Increments the registry counters (metrics enabled; in the caller's
+    metrics scope), and with profiling enabled folds the record into
+    ``round_stats.kernel_profile`` and the ``/profile`` aggregate under
+    the ``(trace_id, query_id)`` pair.  Returns the record for the
+    machine's span: empty unless profiling is enabled.
+    """
+    if not events:
+        return {}
+    if _REGISTRY._enabled:
+        for kernel, rec in events.items():
+            _count(kernel, rec[0], rec[1])
+    if not _ENABLED:
+        return {}
+    round_stats.observe_profile(machine, events)
+    fold_global(events, trace_id, query_id)
+    return events
 
 
 def merge_profile(into: Dict[str, List[float]],
@@ -316,11 +381,10 @@ _GLOBAL = _GlobalProfile()
 
 def fold_global(prof: Mapping[str, Sequence[float]],
                 trace_id: str = "", query_id: int = -1) -> None:
-    """Fold one machine's profile into the process-global aggregate.
-
-    Called by the simulator per machine result; the ``(trace_id,
-    query_id)`` pair attributes the profile to the ambient service
-    query (pass :func:`repro.mpc.telemetry.current_trace`)."""
+    """Fold one ``{kernel: [calls, cells, seconds]}`` map into the
+    process-global aggregate (:func:`fold_machine` does this per
+    machine); the ``(trace_id, query_id)`` pair attributes it to a
+    service query."""
     _GLOBAL.fold(prof, trace_id, query_id)
 
 

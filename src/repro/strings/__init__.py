@@ -3,9 +3,11 @@
 These are the sequential building blocks every MPC machine executes
 locally: Wagner–Fischer and banded edit distance, fitting (substring)
 alignment, LIS/LCS, the sparse Ulam-distance chain DP, and the CGKS-style
-approximate inner solver.  Each hot kernel dispatches through
-:mod:`repro.strings.native` (numba / NumPy-batch / pure backends) without
-changing ledgers, cell counts, or profile attribution.
+approximate inner solver.  The batched kernels dispatch through
+:mod:`repro.strings.native` (NumPy ``batch`` backend, ``pure`` per-call
+oracle) without changing ledgers or kernel events; every metered kernel
+records one ``(calls, cells, seconds)`` event per executed loop through
+its :class:`~repro.obs.profile.KernelProbe`.
 """
 
 from .approx import (InnerSolver, cgks_edit_upper_bound, geometric_offsets,
@@ -20,7 +22,7 @@ from .fitting import fitting_alignment, fitting_distance, fitting_last_row
 from .hirschberg import hirschberg_script
 from .lcs import lcs_length, lcs_length_duplicate_free, position_map
 from .lis import lis_indices, lis_length, longest_increasing_subsequence
-from .native import kernel_backend, numba_available, set_backend, use_backend
+from .native import kernel_backend, set_backend, use_backend
 from .polylog import ako_edit_upper_bound, ako_guarantee_factor, ako_window
 from .transform import EditOp, apply_script, gap_script, script_cost
 from .types import INF, StringLike, as_array
@@ -39,7 +41,7 @@ __all__ = [
     "hirschberg_script",
     "lcs_length", "lcs_length_duplicate_free", "position_map",
     "lis_indices", "lis_length", "longest_increasing_subsequence",
-    "kernel_backend", "numba_available", "set_backend", "use_backend",
+    "kernel_backend", "set_backend", "use_backend",
     "ako_edit_upper_bound", "ako_guarantee_factor", "ako_window",
     "EditOp", "apply_script", "gap_script", "script_cost",
     "INF", "StringLike", "as_array",

@@ -10,8 +10,8 @@ giving exact distance in ``O(d·min(m, n))`` work for distance ``d``.
 These kernels power the ``inner="banded"`` option of the MPC edit-distance
 algorithm and every distance-threshold query (``ed ≤ τ``) of the
 large-distance phases.  All metering happens here, above the
-:mod:`repro.strings.native` dispatch point, so ledgers and cell counts are
-byte-identical whichever backend runs the band.
+:mod:`repro.strings.native` dispatch point, so ledgers and kernel events
+are byte-identical whichever backend runs the band.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..obs.profile import kernel_probe
 from . import native
@@ -29,8 +28,6 @@ from .types import StringLike, as_array
 __all__ = ["levenshtein_banded", "levenshtein_doubling", "within_threshold",
            "within_threshold_batch", "levenshtein_doubling_batch"]
 
-_M_CELLS = get_registry().counter("strings.dp_cells", kernel="banded")
-_M_CALLS = get_registry().counter("strings.kernel_calls", kernel="banded")
 _PROBE = kernel_probe("banded")
 
 
@@ -47,13 +44,8 @@ def _banded_value(A: np.ndarray, B: np.ndarray, k: int) -> int:
     # Row i covers columns j in [i-k, i+k] clipped to [0, n].
     cells = (2 * k + 1) * m + n + 1
     add_work(cells)
-    _M_CELLS.inc(cells)
-    _M_CALLS.inc()
     t0 = _PROBE.begin()
     try:
-        fn = native.native_kernel("banded")
-        if fn is not None:
-            return int(fn(A, B, k))
         return native.np_banded_value(A, B, k)
     finally:
         _PROBE.end(t0, cells)
@@ -63,20 +55,17 @@ def _banded_values_group(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
                          k: int) -> np.ndarray:
     """Batched :func:`_banded_value` with identical logical accounting.
 
-    Work, ``strings.dp_cells`` and ``strings.kernel_calls`` advance by
-    exactly the per-pair sums; the probe folds one timing window over
-    ``len(pairs)`` logical calls, so profile calls/cells match the
-    scalar path byte-for-byte.
+    Work advances by exactly the per-pair sums, and the batch is one
+    kernel event of ``len(pairs)`` logical calls, so calls and cells
+    match the scalar path byte-for-byte.
     """
     total = sum((2 * k + 1) * len(A) + len(B) + 1 for A, B in pairs)
     add_work(total)
-    _M_CELLS.inc(total)
-    _M_CALLS.inc(len(pairs))
     t0 = _PROBE.begin()
     try:
         return native.banded_values_batch(pairs, k)
     finally:
-        _PROBE.end_batch(t0, len(pairs), total)
+        _PROBE.end(t0, total, len(pairs))
 
 
 def levenshtein_banded(a: StringLike, b: StringLike,
@@ -159,7 +148,7 @@ def within_threshold_batch(pairs: Sequence[Tuple[StringLike, StringLike]],
     """Batched :func:`within_threshold` over many pairs at one ``tau``.
 
     Returns exactly ``[within_threshold(a, b, tau) for a, b in pairs]``
-    with identical ledgers and cell counts; under a native backend the
+    with identical ledgers and cell counts; under the batch backend the
     surviving pairs run as one batched band evaluation.
     """
     if tau < 0:

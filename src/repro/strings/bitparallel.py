@@ -17,17 +17,12 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..obs.profile import kernel_probe
-from . import native
 from .types import StringLike, as_array
 
 __all__ = ["myers_levenshtein", "myers_last_row", "myers_fitting_row"]
 
-_M_CELLS = get_registry().counter("strings.dp_cells", kernel="bitparallel")
-_M_CALLS = get_registry().counter("strings.kernel_calls",
-                                  kernel="bitparallel")
 _PROBE = kernel_probe("bitparallel")
 
 
@@ -47,17 +42,7 @@ def _rows(a: StringLike, b: StringLike, global_carry: bool):
         return out
     cells = max(n, 1) * (1 + m // 64)
     add_work(cells)
-    _M_CELLS.inc(cells)
-    _M_CALLS.inc()
     t0 = _PROBE.begin()
-    # Native path: the word-blocked (multi-word uint64) Myers loop, which
-    # widens the compiled dispatch range past 64 symbols.  Python's
-    # unbounded ints below remain the exact fallback for any length.
-    rows = native.myers_rows_native(A, B, global_carry)
-    if rows is not None:
-        _PROBE.end(t0, cells)
-        return rows
-
     mask = (1 << m) - 1
     hibit = 1 << (m - 1)
     peq: Dict[int, int] = {}
@@ -110,38 +95,4 @@ def myers_levenshtein(a: StringLike, b: StringLike) -> int:
     m, n = len(A), len(B)
     if m == 0 or n == 0:
         return m + n
-    cells = n * (1 + m // 64)
-    add_work(cells)
-    _M_CELLS.inc(cells)
-    _M_CALLS.inc()
-    t0 = _PROBE.begin()
-    rows = native.myers_rows_native(A, B, True)
-    if rows is not None:
-        _PROBE.end(t0, cells)
-        return int(rows[n])
-
-    mask = (1 << m) - 1
-    hibit = 1 << (m - 1)
-    peq: Dict[int, int] = {}
-    for i, ch in enumerate(A.tolist()):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
-
-    pv = mask          # vertical +1 deltas: D[i][0] = i
-    mv = 0
-    score = m
-    for ch in B.tolist():
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
-        mh = pv & xh
-        if ph & hibit:
-            score += 1
-        if mh & hibit:
-            score -= 1
-        ph = ((ph << 1) | 1) & mask   # carry: D[0][j] - D[0][j-1] = +1
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
-        mv = ph & xv
-    _PROBE.end(t0, cells)
-    return score
+    return int(_rows(A, B, global_carry=True)[n])

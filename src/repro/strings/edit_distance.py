@@ -16,28 +16,21 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..obs.profile import kernel_probe
-from . import native
 from .types import StringLike, as_array
 
 __all__ = ["levenshtein", "levenshtein_last_row", "levenshtein_script",
            "hamming"]
 
-# Metric handles are module-level so the hot path pays one guarded
-# method call per kernel invocation (not per DP cell); see repro.metrics.
-_M_CELLS_ROW = get_registry().counter("strings.dp_cells", kernel="wf_row")
-_M_CALLS_ROW = get_registry().counter("strings.kernel_calls",
-                                      kernel="wf_row")
-_M_CELLS_SCRIPT = get_registry().counter("strings.dp_cells",
-                                         kernel="script")
-_M_CELLS_HAMMING = get_registry().counter("strings.dp_cells",
-                                          kernel="hamming")
-#: Wall-clock probe for the NumPy row loop only — calls dispatched to the
-#: bit-parallel backend are attributed to kernel "bitparallel" by its own
-#: probe, so profile attribution stays exclusive per executed loop.
+# Meters are module-level so the hot path pays one guarded method call
+# per kernel invocation (not per DP cell).  "wf_row" covers the NumPy
+# row loop only — calls dispatched to the bit-parallel backend are
+# kernel "bitparallel" events, so attribution stays exclusive per
+# executed loop.
 _PROBE_ROW = kernel_probe("wf_row")
+_PROBE_SCRIPT = kernel_probe("script")
+_PROBE_HAMMING = kernel_probe("hamming")
 
 #: pattern length above which the bit-parallel backend takes over (the
 #: NumPy row loop iterates over the pattern; Myers iterates over the
@@ -54,8 +47,6 @@ def levenshtein_last_row(a: StringLike, b: StringLike) -> np.ndarray:
     A, B = as_array(a), as_array(b)
     m, n = len(A), len(B)
     add_work(max(m, 1) * max(n, 1))
-    _M_CELLS_ROW.inc(max(m, 1) * max(n, 1))
-    _M_CALLS_ROW.inc()
     row = np.arange(n + 1, dtype=np.int64)
     if m == 0:
         return row
@@ -66,11 +57,6 @@ def levenshtein_last_row(a: StringLike, b: StringLike) -> np.ndarray:
         from .bitparallel import myers_last_row
         return myers_last_row(A, B)
     t0 = _PROBE_ROW.begin()
-    fn = native.native_kernel("row")
-    if fn is not None:
-        row = fn(A, B, False)
-        _PROBE_ROW.end(t0, m * n)
-        return row
     offsets = np.arange(n + 1, dtype=np.int64)
     for i in range(1, m + 1):
         mismatch = (B != A[i - 1]).astype(np.int64)
@@ -104,8 +90,11 @@ def hamming(a: StringLike, b: StringLike) -> int:
     if len(A) != len(B):
         raise ValueError("hamming distance requires equal-length strings")
     add_work(len(A))
-    _M_CELLS_HAMMING.inc(len(A))
-    return int(np.count_nonzero(A != B))
+    t0 = _PROBE_HAMMING.begin()
+    try:
+        return int(np.count_nonzero(A != B))
+    finally:
+        _PROBE_HAMMING.end(t0, len(A))
 
 
 def levenshtein_script(a: StringLike, b: StringLike
@@ -120,7 +109,7 @@ def levenshtein_script(a: StringLike, b: StringLike
     A, B = as_array(a), as_array(b)
     m, n = len(A), len(B)
     add_work(max(m, 1) * max(n, 1))
-    _M_CELLS_SCRIPT.inc(max(m, 1) * max(n, 1))
+    t0 = _PROBE_SCRIPT.begin()
     d = np.zeros((m + 1, n + 1), dtype=np.int64)
     d[0, :] = np.arange(n + 1)
     d[:, 0] = np.arange(m + 1)
@@ -133,6 +122,7 @@ def levenshtein_script(a: StringLike, b: StringLike
         u[1:] = t - offsets[1:]
         np.minimum.accumulate(u, out=u)
         d[i] = u + offsets
+    _PROBE_SCRIPT.end(t0, max(m, 1) * max(n, 1))
     ops: List[Tuple[str, int, int]] = []
     i, j = m, n
     while i > 0 or j > 0:

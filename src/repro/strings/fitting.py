@@ -20,20 +20,16 @@ from typing import Tuple
 
 import numpy as np
 
-from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..obs.profile import kernel_probe
-from . import native
 from .edit_distance import levenshtein_last_row
 from .types import StringLike, as_array
 
 __all__ = ["fitting_last_row", "fitting_distance", "fitting_alignment"]
 
-# Counter and probe cover the NumPy row loop only: fitting calls
-# dispatched to the bit-parallel backend are attributed to kernel
-# "bitparallel" there, keeping per-kernel attribution exclusive.
-_M_CELLS = get_registry().counter("strings.dp_cells", kernel="fitting")
-_M_CALLS = get_registry().counter("strings.kernel_calls", kernel="fitting")
+# The meter covers the NumPy row loop only: fitting calls dispatched to
+# the bit-parallel backend are kernel "bitparallel" events there,
+# keeping per-kernel attribution exclusive.
 _PROBE = kernel_probe("fitting")
 
 
@@ -52,15 +48,7 @@ def fitting_last_row(pattern: StringLike, text: StringLike) -> np.ndarray:
     if m >= _BITPARALLEL_MIN_M and n >= 8:
         from .bitparallel import myers_fitting_row
         return myers_fitting_row(P, T)
-    cells = m * n
-    _M_CELLS.inc(cells)
-    _M_CALLS.inc()
     t0 = _PROBE.begin()
-    fn = native.native_kernel("row")
-    if fn is not None:
-        row = fn(P, T, True)
-        _PROBE.end(t0, cells)
-        return row
     offsets = np.arange(n + 1, dtype=np.int64)
     for i in range(1, m + 1):
         mismatch = (T != P[i - 1]).astype(np.int64)
@@ -70,7 +58,7 @@ def fitting_last_row(pattern: StringLike, text: StringLike) -> np.ndarray:
         u[1:] = t - offsets[1:]
         np.minimum.accumulate(u, out=u)
         row = u + offsets
-    _PROBE.end(t0, cells)
+    _PROBE.end(t0, m * n)
     return row
 
 

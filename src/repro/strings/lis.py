@@ -13,15 +13,12 @@ from typing import List
 
 import numpy as np
 
-from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..obs.profile import kernel_probe
-from . import native
 from .types import StringLike, as_array
 
 __all__ = ["lis_length", "lis_indices", "longest_increasing_subsequence"]
 
-_M_CELLS = get_registry().counter("strings.dp_cells", kernel="lis")
 _PROBE = kernel_probe("lis")
 
 
@@ -35,13 +32,7 @@ def lis_length(seq: StringLike, strict: bool = True) -> int:
     n = len(arr)
     cells = n * max(int(np.ceil(np.log2(n))), 1) if n else 1
     add_work(cells)
-    _M_CELLS.inc(cells)
     t0 = _PROBE.begin()
-    fn = native.native_kernel("lis")
-    if fn is not None:
-        size = int(fn(arr, strict))
-        _PROBE.end(t0, cells)
-        return size
     find = bisect_left if strict else bisect_right
     tails: List[int] = []
     for v in arr.tolist():

@@ -27,11 +27,11 @@ Kernels
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..obs.profile import kernel_probe
 from . import native
@@ -39,10 +39,6 @@ from .edit_distance import levenshtein
 from .lcs import lcs_length_duplicate_free, position_map
 from .types import INF, StringLike, as_array
 
-_M_CELLS_SPARSE = get_registry().counter("strings.dp_cells",
-                                         kernel="ulam_sparse")
-_M_CALLS_SPARSE = get_registry().counter("strings.kernel_calls",
-                                         kernel="ulam_sparse")
 _PROBE_SPARSE = kernel_probe("ulam_sparse")
 
 #: Below this many match points the chain DP runs on plain Python lists,
@@ -146,42 +142,21 @@ def ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
     c = len(i_pts)
     cells = c * c + 1
     add_work(cells)
-    _M_CELLS_SPARSE.inc(cells)
-    _M_CALLS_SPARSE.inc()
     t0 = _PROBE_SPARSE.begin()
     try:
-        return _ulam_chain_dp(i_pts, p_pts, m, n, c)
+        return native.np_chain_dp(i_pts, p_pts, m, n, c, _PY_DP_CUTOFF)
     finally:
         _PROBE_SPARSE.end(t0, cells)
 
 
-def _ulam_chain_dp(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
-                   c: int) -> int:
-    """The metered body of :func:`ulam_from_matches` (probe-bracketed).
+def _indel_band(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
+                n: int) -> int:
+    """The band that certifies :func:`ulam_auto`'s single pass.
 
-    Dispatch choke point: the compiled scalar kernel when the numba
-    backend is active, otherwise the relocated list/NumPy loop in
-    :func:`repro.strings.native.np_chain_dp`.  Metering lives in the
-    callers, so backends only change speed.
+    The insertion/deletion-only distance ``m + n - 2·LIS(p)`` (points
+    are i-sorted; LIS by patience sorting) is an upper bound on the
+    true distance, so every optimal alignment stays inside it.
     """
-    fn = native.native_kernel("chain_dp")
-    if fn is not None:
-        return int(fn(i_pts, p_pts, m, n))
-    return native.np_chain_dp(i_pts, p_pts, m, n, c, _PY_DP_CUTOFF)
-
-
-def ulam_auto(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int) -> int:
-    """Exact sparse Ulam distance in one banded pass.
-
-    The insertion/deletion-only distance ``m + n - 2·LIS(p)`` is an upper
-    bound on the true distance (its transformation is valid), and any
-    alignment of cost ``d`` keeps its matches within the ``d``-diagonal
-    band; therefore a single banded run with ``band = indel ≥ d`` is
-    certified exact, with output-sensitive pruning for similar pairs.
-    """
-    from bisect import bisect_left
-    c = len(i_pts)
-    # LIS of the p-sequence (points are i-sorted): patience sorting.
     tails: list = []
     for v in p_pts.tolist():
         pos = bisect_left(tails, v)
@@ -189,10 +164,21 @@ def ulam_auto(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int) -> int:
             tails.append(v)
         else:
             tails[pos] = v
-    add_work(c)
-    indel = m + n - 2 * len(tails)
-    band = max(indel, abs(m - n), 1)
-    return ulam_from_matches(i_pts, p_pts, m, n, band=band)
+    add_work(len(i_pts))
+    return max(m + n - 2 * len(tails), abs(m - n), 1)
+
+
+def ulam_auto(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int) -> int:
+    """Exact sparse Ulam distance in one banded pass.
+
+    The insertion/deletion-only distance is an upper bound on the true
+    distance (its transformation is valid), and any alignment of cost
+    ``d`` keeps its matches within the ``d``-diagonal band; therefore a
+    single banded run with ``band = indel ≥ d`` is certified exact, with
+    output-sensitive pruning for similar pairs.
+    """
+    return ulam_from_matches(i_pts, p_pts, m, n,
+                             band=_indel_band(i_pts, p_pts, m, n))
 
 
 def ulam_auto_batch(jobs: List[Tuple[np.ndarray, np.ndarray, int, int]]
@@ -200,41 +186,28 @@ def ulam_auto_batch(jobs: List[Tuple[np.ndarray, np.ndarray, int, int]]
     """Batched :func:`ulam_auto` over many ``(i_pts, p_pts, m, n)`` jobs.
 
     The per-machine batching path: candidate machines issue thousands of
-    tiny sparse-DP calls, so the band/LIS prologue runs per job (cheap,
-    and it determines each job's band) while all chain DPs execute as
-    one native batch call.  Work, ``strings.dp_cells`` and profile
-    call/cell counts advance exactly as ``[ulam_auto(*job) for job in
-    jobs]`` would; only wall-clock differs.
+    tiny sparse-DP calls, so the band prologue runs per job (cheap, and
+    it determines each job's band) while all chain DPs execute as one
+    native batch call — one kernel event of ``len(jobs)`` calls.  Work
+    and kernel calls/cells advance exactly as ``[ulam_auto(*job) for
+    job in jobs]`` would; only wall-clock differs.
     """
     if native.kernel_backend() == "pure" or len(jobs) <= 1:
         return [ulam_auto(i, p, m, n) for i, p, m, n in jobs]
-    from bisect import bisect_left
     filtered: List[Tuple[np.ndarray, np.ndarray, int, int]] = []
     total_cells = 0
     for i_pts, p_pts, m, n in jobs:
-        c = len(i_pts)
-        tails: list = []
-        for v in p_pts.tolist():
-            pos = bisect_left(tails, v)
-            if pos == len(tails):
-                tails.append(v)
-            else:
-                tails[pos] = v
-        add_work(c)
-        band = max(m + n - 2 * len(tails), abs(m - n), 1)
-        keep = np.abs(i_pts - p_pts) <= band
+        keep = np.abs(i_pts - p_pts) <= _indel_band(i_pts, p_pts, m, n)
         i_f, p_f = i_pts[keep], p_pts[keep]
         cells = len(i_f) * len(i_f) + 1
         add_work(cells)
-        _M_CELLS_SPARSE.inc(cells)
-        _M_CALLS_SPARSE.inc()
         total_cells += cells
         filtered.append((i_f, p_f, m, n))
     t0 = _PROBE_SPARSE.begin()
     try:
         return [int(v) for v in native.chain_dp_batch(filtered)]
     finally:
-        _PROBE_SPARSE.end_batch(t0, len(jobs), total_cells)
+        _PROBE_SPARSE.end(t0, total_cells, len(jobs))
 
 
 def local_ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray,
@@ -254,7 +227,6 @@ def local_ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray,
     c = len(i_pts)
     cells = c * c + 1
     add_work(cells)
-    _M_CELLS_SPARSE.inc(cells)
     if c == 0:
         return 0, 0, m
     t0 = _PROBE_SPARSE.begin()

@@ -118,7 +118,7 @@ def _window_distances(windows: List[Tuple[int, int, np.ndarray, np.ndarray]],
 
     Under the ``pure`` backend each window runs the scalar
     :func:`ulam_auto` (with per-call cache lookups) exactly as before;
-    native backends collect all cache misses and evaluate them in one
+    the batch backend collects all cache misses and evaluates them in one
     :func:`ulam_auto_batch` call.  Intra-batch duplicate *content* keys
     are deduplicated before evaluation: the first occurrence counts as
     the miss, repeats are recorded via :meth:`DistanceCache.hit`, so

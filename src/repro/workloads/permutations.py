@@ -13,6 +13,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .strings import _shuffled_order
+
 __all__ = ["random_permutation", "apply_moves", "apply_value_swaps",
            "planted_pair", "block_shuffled_pair"]
 
@@ -108,6 +110,6 @@ def block_shuffled_pair(n: int, n_segments: int, seed=0
     s = random_permutation(n, rng)
     bounds = np.linspace(0, n, n_segments + 1).astype(int)
     segments = [s[bounds[i]:bounds[i + 1]] for i in range(n_segments)]
-    order = rng.permutation(n_segments)
+    order = _shuffled_order(n_segments, rng)
     t = np.concatenate([segments[i] for i in order]) if n else s.copy()
     return s, t.astype(np.int64)

@@ -67,6 +67,17 @@ def repetitive_string(n: int, period: int, sigma: int = 4, seed=0
     return np.tile(base, reps)[:n].astype(np.int64)
 
 
+def _shuffled_order(n_segments: int, rng: np.random.Generator
+                    ) -> np.ndarray:
+    """A segment order that moves something: the identity is redrawn
+    (whenever ``n_segments >= 2``), so a shuffled pair is never the
+    trivial ``s == t``."""
+    order = rng.permutation(n_segments)
+    while n_segments >= 2 and np.array_equal(order, np.arange(n_segments)):
+        order = rng.permutation(n_segments)
+    return order
+
+
 def block_shuffled_pair(n: int, n_segments: int, sigma: int = 4, seed=0
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """Far pair via segment reordering (large-distance regime driver)."""
@@ -74,6 +85,6 @@ def block_shuffled_pair(n: int, n_segments: int, sigma: int = 4, seed=0
     s = random_string(n, sigma, rng)
     bounds = np.linspace(0, n, n_segments + 1).astype(int)
     segments = [s[bounds[i]:bounds[i + 1]] for i in range(n_segments)]
-    order = rng.permutation(n_segments)
+    order = _shuffled_order(n_segments, rng)
     t = np.concatenate([segments[i] for i in order]) if n else s.copy()
     return s, t.astype(np.int64)

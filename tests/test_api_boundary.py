@@ -135,6 +135,19 @@ def test_checker_allows_kernel_probe_in_repro_and_own_tests(tmp_path):
     assert proc.returncode == 0, proc.stdout
 
 
+def test_checker_flags_kernel_counter_outside_meter(tmp_path):
+    bad = tmp_path / "src" / "repro" / "strings"
+    bad.mkdir(parents=True)
+    (bad / "rogue_kernel.py").write_text(
+        "_C = get_registry().counter('strings.dp_cells', kernel='x')\n"
+        "_P = KernelProbe('x')\n")
+    proc = _check(tmp_path)
+    assert proc.returncode == 1
+    assert "rogue_kernel.py:1" in proc.stdout
+    assert "rogue_kernel.py:2" in proc.stdout
+    assert "kernel_probe(name)" in proc.stdout    # the fix hint
+
+
 def test_checker_flags_raw_shared_memory_outside_mpc(tmp_path):
     bad = tmp_path / "src" / "repro" / "ulam"
     bad.mkdir(parents=True)

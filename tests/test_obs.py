@@ -22,6 +22,7 @@ from repro.mpc.telemetry import Span, export_chrome_trace
 from repro.obs import (SLO, ObservabilityServer, QuerySample, SLOMonitor,
                        burn_rate, default_slos, prometheus_exposition,
                        render_health, sample_from_record)
+from repro.obs.exporter import parse_prometheus
 from repro.params import EditParams, UlamParams
 from repro.service import run_workload
 from repro.ulam import mpc_ulam
@@ -328,18 +329,16 @@ class TestExporter:
 
         # The final aggregate attributes every query and never claims
         # more dp_cells than the registry counted for the same kernel
-        # (driver-side kernel calls tick the counter only).
+        # (both derive from the same kernel events; driver-side kernel
+        # calls reach the registry only).
         assert len(final["queries"]) == 6
         assert final["kernels"]["ulam_sparse"]["cells"] > 0
+        samples = parse_prometheus(registry_text)
         for kernel, rec in final["kernels"].items():
-            needle = f'kernel="{kernel}"'
-            counted = sum(
-                float(line.rsplit(" ", 1)[1])
-                for line in registry_text.splitlines()
-                if line.startswith("repro_strings_dp_cells_total")
-                and needle in line)
-            if counted:
-                assert rec["cells"] <= counted + 1e-9, kernel
+            counted = samples.get(
+                f'repro_strings_dp_cells_total{{kernel="{kernel}"}}', 0.0)
+            assert counted > 0, kernel
+            assert rec["cells"] <= counted, kernel
 
     def test_unbound_exporter_serves_registry_only(self):
         with ObservabilityServer(port=0) as obs:
@@ -368,6 +367,28 @@ class TestExporter:
         assert 'repro_ulam_block_sum{phase="1"} 30' in lines
         assert 'repro_ulam_block_min{phase="1"} 5' in lines
         assert 'repro_ulam_block_max{phase="1"} 15' in lines
+
+    def test_prometheus_parse_round_trip(self):
+        snapshot = {
+            "strings.dp_cells{kernel=wf_row}":
+                {"type": "counter", "value": 1425244},
+            "config.cap": {"type": "gauge", "value": 7.5},
+            "config.mode": {"type": "gauge", "value": "fast"},
+            "ulam.block{phase=1}": {"type": "histogram", "count": 3,
+                                    "sum": 30, "min": 5, "max": None},
+        }
+        samples = parse_prometheus(prometheus_exposition(snapshot))
+        mode = samples.pop("repro_config_mode")
+        assert mode != mode  # a non-numeric gauge is exposed as nan
+        assert samples == {
+            'repro_strings_dp_cells_total{kernel="wf_row"}': 1425244.0,
+            "repro_config_cap": 7.5,
+            'repro_ulam_block_count{phase="1"}': 3.0,
+            'repro_ulam_block_sum{phase="1"}': 30.0,
+            'repro_ulam_block_min{phase="1"}': 5.0,
+        }
+        assert parse_prometheus("# HELP x\n\nbad line\nx notanumber\n") \
+            == {}
 
     def test_render_health_flags_dead_executor(self):
         status = {"service": "svc1", "admission": "open", "inflight": 0,

@@ -1,10 +1,10 @@
 """Backend equivalence for the native/batched string kernels.
 
 The dispatch contract of :mod:`repro.strings.native` is that backends
-("pure" vs the ambient batch/numba backend) differ **only** in
-wall-clock: distances, abstract work, ``strings.*`` metric deltas,
-kernel-probe call/cell attribution and distance-cache hit/miss counters
-are byte-identical.  These tests drive every batch entry point through
+("pure" vs the ambient batch backend) differ **only** in wall-clock:
+distances, abstract work, ``strings.*`` metric deltas, kernel-probe
+call/cell attribution and distance-cache hit/miss counters are
+byte-identical.  These tests drive every batch entry point through
 both backends on random and boundary inputs and compare all of it.
 """
 
@@ -22,13 +22,10 @@ from repro.mpc.distcache import DistanceCache
 from repro.obs import profile as obs_profile
 from repro.obs.profile import collect_profile
 from repro.strings import (kernel_backend, levenshtein_doubling,
-                           levenshtein_doubling_batch, numba_available,
-                           set_backend, ulam_auto, ulam_auto_batch,
-                           use_backend, within_threshold,
-                           within_threshold_batch)
+                           levenshtein_doubling_batch, set_backend,
+                           ulam_auto, ulam_auto_batch, use_backend,
+                           within_threshold, within_threshold_batch)
 from repro.strings import native
-from repro.strings.bitparallel import _rows
-from repro.strings.native import myers_words_rows
 
 from .helpers import brute_edit_distance
 
@@ -56,9 +53,9 @@ def _assert_backends_agree(fn, normalize=list):
 
 
 class TestBackendSelection:
-    def test_default_backend(self):
-        expected = "numba" if numba_available() else "batch"
-        assert kernel_backend() == expected
+    def test_default_backend(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+        assert kernel_backend() == "batch"
 
     def test_env_flag_forces_pure(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
@@ -66,7 +63,8 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_NO_NATIVE", "0")
         assert kernel_backend() != "pure"
 
-    def test_set_backend_roundtrip(self):
+    def test_set_backend_roundtrip(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
         set_backend("pure")
         try:
             assert kernel_backend() == "pure"
@@ -77,12 +75,6 @@ class TestBackendSelection:
     def test_set_backend_rejects_unknown(self):
         with pytest.raises(ValueError):
             set_backend("cuda")
-
-    def test_set_backend_rejects_missing_numba(self):
-        if numba_available():  # pragma: no cover - numba containers
-            pytest.skip("numba present")
-        with pytest.raises(ValueError):
-            set_backend("numba")
 
     def test_use_backend_restores_on_exit(self):
         before = kernel_backend()
@@ -271,17 +263,6 @@ class TestBlockMachineEquivalence:
 
 
 class TestMyersMultiWord:
-    def test_matches_single_word_rows(self, rng):
-        for m in (1, 5, 63, 64, 65, 127, 128, 130):
-            for n in (0, 1, 8, 40):
-                a = rng.integers(0, 200, m).astype(np.int64)
-                b = rng.integers(0, 260, n).astype(np.int64)
-                for carry in (True, False):
-                    rows = myers_words_rows(a, b, carry)
-                    ref = _rows(a, b, carry)
-                    assert np.array_equal(np.asarray(rows),
-                                          np.asarray(ref)), (m, n, carry)
-
     def test_distance_at_word_boundaries(self, rng):
         from repro.strings.bitparallel import myers_levenshtein
         for m in (63, 64, 65, 128, 129):
@@ -329,13 +310,13 @@ class TestNumPyKernelPrimitives:
                           rng.integers(0, 4, n).astype(np.int64)))
         for k in (4, 7, 21):
             good = [(a, b) for a, b in pairs if abs(len(a) - len(b)) <= k]
-            vals = native._np_banded_values_batch(good, k)
+            vals = native.banded_values_batch(good, k)
             for (a, b), v in zip(good, vals):
                 assert v == native.np_banded_value(a, b, k)
 
     def test_chain_dp_batch_matches_scalar(self, rng):
         jobs = _synthetic_ulam_jobs(rng, n_jobs=30)
-        vals = native._np_chain_dp_batch(jobs)
+        vals = native.chain_dp_batch(jobs)
         for (i_pts, p_pts, m, n), v in zip(jobs, vals):
             assert v == native.np_chain_dp(i_pts, p_pts, m, n,
                                            len(i_pts), 0)

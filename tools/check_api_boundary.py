@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Enforce the MPC-layer API boundaries (stdlib only, CI-friendly).
 
-Eight rules:
+Nine rules:
 
 * Algorithm drivers must submit rounds through :mod:`repro.mpc.plan`
   (``Pipeline``/``RoundSpec``/``run_plan``) so that shuffle volume and
@@ -24,6 +24,10 @@ Eight rules:
   consumes profiles read-only (``RunStats.profile_rows``,
   ``repro.obs.profile.global_profile``, ``collect_profile``); the
   profiler's own unit tests are the single sanctioned exception.
+* The kernel meter has one owner: ``KernelProbe`` objects and the
+  ``strings.*`` kernel counters are constructed only in
+  ``repro/obs/profile.py``, which derives the counters from the
+  meter's events.  Kernels obtain their meter via ``kernel_probe``.
 * Raw ``multiprocessing.shared_memory`` is an internal privilege of
   ``src/repro/mpc/`` (the data plane owns segment lifecycle and
   refcounting).  Everything else publishes through
@@ -110,6 +114,17 @@ RULES = {
         "RunStats.profile_rows, repro.obs.profile.global_profile or "
         "collect_profile (tests/test_obs_profile.py is the sanctioned "
         "exception).",
+    ),
+    "kernel-meter-owner": (
+        re.compile(r"\bKernelProbe\s*\(|\.counter\(\s*[\"']strings\."),
+        ("src",),
+        ("src/repro/obs/profile.py",),
+        "kernel meter or strings.* counter constructed outside "
+        "src/repro/obs/profile.py",
+        "Meter kernels with repro.obs.profile.kernel_probe(name): the "
+        "strings.kernel_calls / strings.dp_cells counters are derived "
+        "from its events in repro.obs.profile, never incremented "
+        "directly.",
     ),
     "shared-memory": (
         re.compile(r"\bshared_memory\b|\bSharedMemory\s*\("),
@@ -230,7 +245,7 @@ def main(argv):
         return 1
     print("API boundary clean: no direct run_round calls, sink "
           "constructions, metrics mutation, kernel-probe creation, "
-          "raw shared_memory use, driver imports, pool/data-plane "
+          "kernel counters outside the meter, raw shared_memory use, driver imports, pool/data-plane "
           "construction, or HTTP server construction outside their "
           "sanctioned modules")
     return 0
