@@ -1,17 +1,14 @@
-"""E22 — zero-copy data plane: physical payload bytes and cache hits.
+"""E22 — zero-copy data plane: physical payload bytes.
 
 The MPC ledgers price *logical words*, and the data plane leaves every
 one of them untouched; what it shrinks is the *physical* pickle volume
 crossing the executor boundary — O(substring bytes) per task down to
 O(descriptor).  This experiment measures that gap A/B on the Table-1
-configurations (E16's ulam and edit rows), plus the distance cache's
-hit behaviour on the edit small-regime workload:
+configurations (E16's ulam and edit rows):
 
 * ``bytes_shipped`` with the plane off vs on — the gate asserts the
   descriptor runs ship at most half the copy runs' bytes (>= 2x
   reduction), and that the ledgers are byte-identical either way;
-* ``distance_cache.hits`` > 0 when the cache is enabled on a repeated
-  edit small-regime workload, with unchanged answers;
 * wall clocks for both modes, informational only (the byte counts are
   deterministic; the clocks are not).
 """
@@ -21,8 +18,7 @@ import time
 from repro import mpc_edit_distance, mpc_ulam
 from repro.analysis import format_table
 from repro.metrics import enabled
-from repro.mpc import (active_segments, disable_distance_cache,
-                       enable_distance_cache)
+from repro.mpc import active_segments
 from repro.workloads.permutations import planted_pair as perm_pair
 from repro.workloads.strings import planted_pair as str_pair
 
@@ -82,27 +78,6 @@ def _run():
             "avoided_on": on.stats.payload_bytes_avoided,
         }
 
-    # Distance cache on the edit small-regime workload: a repeated run
-    # re-derives the same (block, candidate) contents, so the second
-    # pass must hit.
-    s, t, _ = str_pair(EDIT["n"], EDIT["budget"], sigma=4,
-                       seed=EDIT["seed"])
-    baseline = mpc_edit_distance(s, t, x=EDIT["x"], eps=EDIT["eps"],
-                                 seed=EDIT["seed"])
-    cache = enable_distance_cache()
-    try:
-        first = mpc_edit_distance(s, t, x=EDIT["x"], eps=EDIT["eps"],
-                                  seed=EDIT["seed"])
-        second = mpc_edit_distance(s, t, x=EDIT["x"], eps=EDIT["eps"],
-                                   seed=EDIT["seed"])
-        checks["cache"] = {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "same_answer": (first.distance == baseline.distance
-                            and second.distance == baseline.distance),
-        }
-    finally:
-        disable_distance_cache()
     return rows, checks
 
 
@@ -120,9 +95,6 @@ def bench_data_plane(benchmark, report):
         f"reduction: ulam {checks['ulam']['reduction']:.1f}x, "
         f"edit {checks['edit']['reduction']:.1f}x "
         "(logical ledgers byte-identical in all four runs)",
-        f"distance cache on repeated edit small-regime run: "
-        f"{checks['cache']['hits']} hits / "
-        f"{checks['cache']['misses']} misses, answers unchanged",
         "",
         "wall_s is informational; bytes are deterministic and gated "
         "(>= 2x reduction required).",
@@ -134,5 +106,3 @@ def bench_data_plane(benchmark, report):
         assert checks[tag]["same_answer"], tag
         assert checks[tag]["same_ledger"], tag
         assert checks[tag]["avoided_on"] > 0, tag
-    assert checks["cache"]["hits"] > 0, checks["cache"]
-    assert checks["cache"]["same_answer"], checks["cache"]

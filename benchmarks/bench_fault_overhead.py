@@ -1,24 +1,22 @@
 """E18 — overhead of the fault layer.
 
-Two claims are measured:
+The same Ulam workload runs on a plain simulator and under a
+``crash=0.1,straggle=0.1x4`` fault plan.  The gate is deterministic: the
+chaos run completes with the same answer as the clean run (no machine is
+dropped: ``on_exhausted`` defaults to raise), and the ledger prices the
+recovery (retried machines, wasted work).  Wall clocks are reported,
+not gated.
 
-1. **Zero-overhead guarantee**: a :class:`ResilientSimulator` with *no*
-   fault plan takes the pre-existing ``run_round`` code path; its
-   wall-clock on the Ulam workload must stay within 5 % of the plain
-   :class:`MPCSimulator` (amortised over repetitions — single-digit
-   millisecond runs are too noisy to compare individually).
-2. **Recovery overhead is visible**: the same workload under a
-   ``crash=0.1,straggle=0.1x4`` plan completes, returns the same valid
-   upper bound semantics, and the ledger prices the recovery (wasted
-   work, retried machines).
+A no-plan run needs no overhead row: there is one round loop, and
+without a plan it hands the executor the caller's tasks unwrapped
+(``tests/test_mpc_retry.py::TestZeroOverheadPath``).
 """
 
 import time
 
 from repro import UlamConfig, mpc_ulam
 from repro.analysis import format_table
-from repro.mpc import (FaultPlan, MPCSimulator, ResilientSimulator,
-                       RetryPolicy)
+from repro.mpc import FaultPlan, MPCSimulator
 from repro.workloads.permutations import planted_pair
 
 from .conftest import run_once
@@ -39,49 +37,34 @@ def _once(s, t, make_sim):
 
 def _run():
     s, t, _ = planted_pair(N, N // 8, seed=31, style="mixed")
-    limit = None
 
     def plain():
-        return MPCSimulator(memory_limit=limit)
+        return MPCSimulator()
 
-    def resilient_noplan():
-        return ResilientSimulator(memory_limit=limit)
-
-    def resilient_chaos():
-        return ResilientSimulator(
-            memory_limit=limit,
+    def chaos():
+        return MPCSimulator(
             fault_plan=FaultPlan.from_spec("crash=0.1,straggle=0.1x4",
                                            seed=7),
-            retry_policy=RetryPolicy(max_attempts=5))
+            max_attempts=5)
 
-    # Interleave the variants within each repetition and compare them
-    # *pairwise per rep*: back-to-back runs see the same system load, so
-    # the rep-wise ratio cancels machine-noise drift that a comparison
-    # of independent best-of times cannot (a 2-second run jitters by
-    # more than 5% on a busy box).  The minimum ratio over reps is the
-    # cleanest pairing; a real >=5% overhead would keep every ratio up.
-    base_s = noplan_s = chaos_s = float("inf")
-    noplan_ratio = chaos_ratio = float("inf")
+    # Interleave the variants within each repetition; the rep-wise ratio
+    # of back-to-back runs cancels machine-load drift (informational).
+    base_s = chaos_s = chaos_ratio = float("inf")
     for _ in range(REPS):
         base_sec, base_d, _ = _once(s, t, plain)
         base_s = min(base_s, base_sec)
-        sec, noplan_d, _ = _once(s, t, resilient_noplan)
-        noplan_s = min(noplan_s, sec)
-        noplan_ratio = min(noplan_ratio, sec / base_sec)
-        sec, chaos_d, chaos_stats = _once(s, t, resilient_chaos)
+        sec, chaos_d, chaos_stats = _once(s, t, chaos)
         chaos_s = min(chaos_s, sec)
         chaos_ratio = min(chaos_ratio, sec / base_sec)
 
     return {
         "base_s": base_s,
-        "noplan_s": noplan_s,
-        "noplan_delta": noplan_ratio - 1.0,
         "chaos_s": chaos_s,
         "chaos_delta": chaos_ratio - 1.0,
-        "same_answer_noplan": base_d == noplan_d,
         "chaos_answer": chaos_d,
         "base_answer": base_d,
         "retried": chaos_stats.retried_machines,
+        "dropped": chaos_stats.dropped_machines,
         "wasted_work": chaos_stats.wasted_work,
         "total_work": chaos_stats.total_work,
     }
@@ -95,22 +78,22 @@ def bench_fault_overhead(benchmark, report):
         "",
         format_table(
             ["variant", "seconds", "delta_vs_base", "answer"],
-            [["MPCSimulator", row["base_s"], 0.0, row["base_answer"]],
-             ["Resilient (no plan)", row["noplan_s"],
-              row["noplan_delta"], row["base_answer"]],
-             ["Resilient (crash=0.1,straggle=0.1x4)", row["chaos_s"],
+            [["no fault plan", row["base_s"], 0.0, row["base_answer"]],
+             ["crash=0.1,straggle=0.1x4", row["chaos_s"],
               row["chaos_delta"], row["chaos_answer"]]]),
         "",
         f"recovery: retried_machines = {row['retried']}, wasted_work = "
         f"{row['wasted_work']} ({row['wasted_work'] / max(1, row['wasted_work'] + row['total_work']):.1%} of burned work)",
+        "",
+        "seconds are informational; the gate is the answer and the "
+        "recovery ledger.",
     ]
     report("E18_fault_overhead", "\n".join(lines))
 
-    assert row["same_answer_noplan"]
-    # Zero-overhead guarantee: the no-plan resilient simulator must stay
-    # within 5% of the plain simulator (generous slack over timer noise).
-    assert row["noplan_delta"] < 0.05, row
     # The chaos answer is still a valid upper bound of the same planted
-    # instance, so it can only exceed the fault-free answer if machines
-    # were dropped (none are: on_exhausted defaults to raise).
+    # instance, so it can only differ from the fault-free answer if
+    # machines were dropped (none are: on_exhausted defaults to raise).
     assert row["chaos_answer"] == row["base_answer"]
+    # Recovery is priced in the ledger.
+    assert row["dropped"] == 0, row
+    assert row["retried"] > 0 and row["wasted_work"] > 0, row

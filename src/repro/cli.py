@@ -54,7 +54,7 @@ observability: traces, /metrics, SLOs".
              non-zero on regression.
 
 The ``ulam`` and ``edit`` commands also accept ``--fault-plan`` /
-``--retries`` / ``--on-exhausted`` / ``--realtime`` to exercise the
+``--retries`` / ``--on-exhausted`` to exercise the
 algorithm under injected machine failures (see
 docs/ARCHITECTURE.md, "Failure model & recovery"), plus ``--trace
 PATH`` (stream a per-machine span trace as JSONL) and ``--skew``
@@ -184,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--on-exhausted", choices=("raise", "drop"),
                        default="raise",
                        help="what to do when retries run out")
-        p.add_argument("--realtime", action="store_true",
-                       help="stragglers really sleep their inflation")
 
     ulam_x, ulam_eps = _cli_defaults("ulam")
     edit_x, edit_eps = _cli_defaults("edit")
@@ -470,18 +468,15 @@ def _build_sim(args, memory_limit: int):
     Returns ``None`` when neither a fault plan nor telemetry was
     requested, so the driver creates its own default simulator."""
     tracer = _build_tracer(args)
-    if getattr(args, "fault_plan", None) is None:
-        if tracer is None:
-            return None
-        from .mpc import MPCSimulator
-        return MPCSimulator(memory_limit=memory_limit, tracer=tracer)
-    from .mpc import FaultPlan, ResilientSimulator, RetryPolicy
-    plan = FaultPlan.from_spec(args.fault_plan, seed=args.seed)
-    return ResilientSimulator(
-        memory_limit=memory_limit, fault_plan=plan,
-        retry_policy=RetryPolicy(max_attempts=args.retries),
-        on_exhausted=args.on_exhausted, realtime=args.realtime,
-        tracer=tracer)
+    spec = getattr(args, "fault_plan", None)
+    if spec is None and tracer is None:
+        return None
+    from .mpc import FaultPlan, MPCSimulator
+    return MPCSimulator(
+        memory_limit=memory_limit, tracer=tracer,
+        fault_plan=None if spec is None
+        else FaultPlan.from_spec(spec, seed=args.seed),
+        max_attempts=args.retries, on_exhausted=args.on_exhausted)
 
 
 def _run_traced(sim, label: str, thunk):

@@ -33,7 +33,6 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..metrics import get_registry
-from ..mpc.distcache import distance_cache, pair_key
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.shm import DataPlane
 from ..mpc.simulator import MPCSimulator
@@ -44,7 +43,7 @@ from ..strings.edit_distance import levenshtein_last_row
 from ..strings.native import kernel_backend
 from .combine import EditTuple, run_edit_combine_machine
 from .config import EditConfig
-from .graph import NodeId, RepDistances, build_candidate_nodes, node_string
+from .graph import NodeId, RepDistances, build_candidate_nodes
 
 __all__ = ["run_rep_distance_machine", "run_pair_distance_machine",
            "run_block_vs_groups_machine", "large_distance_phases",
@@ -79,63 +78,16 @@ def _solver_pair_distances(pairs: List[Tuple[np.ndarray, np.ndarray]],
                            solver_kind: str, eps_inner: float) -> List[int]:
     """Inner-solver distances for explicit (string, window) pairs.
 
-    The ``banded`` solver under the batch backend batches all cache
-    misses into one :func:`levenshtein_doubling_batch` call; other
-    solvers (and the ``pure`` backend) evaluate per pair exactly as
-    before.  Intra-batch duplicate content keys resolve as one miss
-    plus :meth:`DistanceCache.hit` repeats, keeping cache counters and
-    kernel work byte-identical to the per-call path.
+    The ``banded`` solver under the batch backend evaluates every pair in
+    one :func:`levenshtein_doubling_batch` call; other solvers (and the
+    ``pure`` backend) evaluate per pair, with identical distances and
+    kernel work.
     """
-    solver = make_inner(solver_kind, eps_inner)
-    cache = distance_cache()
     if solver_kind != "banded" or kernel_backend() == "pure" \
             or len(pairs) <= 1:
-        out = []
-        for a, b in pairs:
-            if cache is None:
-                out.append(int(solver(a, b)))
-                continue
-            key = pair_key("ed-pair", a, b, solver_kind, eps_inner)
-            d = cache.lookup(key)
-            if d is None:
-                d = int(solver(a, b))
-                cache.store(key, d)
-            out.append(int(d))
-        return out
-    dists = [0] * len(pairs)
-    jobs: List[Tuple[np.ndarray, np.ndarray]] = []
-    targets: List[List[int]] = []  # pair indices each job resolves
-    job_keys: List[object] = []
-    if cache is None:
-        for idx, (a, b) in enumerate(pairs):
-            jobs.append((a, b))
-            targets.append([idx])
-            job_keys.append(None)
-    else:
-        pending: Dict[object, List[int]] = {}
-        for idx, (a, b) in enumerate(pairs):
-            key = pair_key("ed-pair", a, b, solver_kind, eps_inner)
-            slot = pending.get(key)
-            if slot is not None:
-                cache.hit()      # would have hit the per-call cache
-                slot.append(idx)
-                continue
-            d = cache.lookup(key)
-            if d is not None:
-                dists[idx] = int(d)
-                continue
-            pending[key] = tgt = [idx]
-            jobs.append((a, b))
-            targets.append(tgt)
-            job_keys.append(key)
-    if jobs:
-        vals = levenshtein_doubling_batch(jobs)
-        for val, tgt, key in zip(vals, targets, job_keys):
-            for idx in tgt:
-                dists[idx] = int(val)
-            if key is not None:
-                cache.store(key, int(val))
-    return dists
+        solver = make_inner(solver_kind, eps_inner)
+        return [int(solver(a, b)) for a, b in pairs]
+    return [int(d) for d in levenshtein_doubling_batch(pairs)]
 
 
 def run_rep_distance_machine(payload: Dict[str, object]) -> np.ndarray:
@@ -336,7 +288,7 @@ def large_distance_phases(S: np.ndarray, T: np.ndarray,
             raise AssertionError("round-1 output/layout count mismatch")
         repdist = RepDistances()
         for out, (rids, bchunk, gchunk) in zip(outs, layouts):
-            if out is None:  # dropped machine (ResilientSimulator "drop")
+            if out is None:  # dropped machine (fault-plan "drop" mode)
                 continue
             k = 0
             for rep_idx in rids:

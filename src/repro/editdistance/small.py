@@ -12,13 +12,11 @@ per (block, candidate) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from ..metrics import get_registry
-from ..mpc.distcache import distance_cache
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.shm import DataPlane
 from ..mpc.simulator import MPCSimulator
@@ -66,8 +64,6 @@ def run_small_block_machine(payload: Dict[str, object]) -> List[EditTuple]:
     top_k: Optional[int] = payload["top_k"]         # type: ignore
 
     B = hi - lo
-    cache = distance_cache()
-    block_key = block.tobytes() if cache is not None else b""
     tuples: List[EditTuple] = []
     if inner_kind == "row":
         for sp in starts:
@@ -79,28 +75,11 @@ def run_small_block_machine(payload: Dict[str, object]) -> List[EditTuple]:
             if len(seg) != max_en - sp:  # pragma: no cover - invariant
                 raise AssertionError("machine feed does not cover candidate")
             _M_WINDOWS.inc(len(wins))
-            if cache is None:
-                row = levenshtein_last_row(block, seg)
-                for (st, en) in wins:
-                    tuples.append((lo, hi, st, en, int(row[en - st])))
-                continue
-            # Candidates sharing a start are prefixes of ``seg``, so the
-            # content key of window (st, en) is the prefix bytes; when
-            # every window hits, the whole DP row is skipped.
-            keys = [("ed-row", block_key, seg[:en - st].tobytes())
-                    for (st, en) in wins]
-            vals = [cache.lookup(k) for k in keys]
-            if any(v is None for v in vals):
-                row = levenshtein_last_row(block, seg)
-                for i, (st, en) in enumerate(wins):
-                    if vals[i] is None:
-                        vals[i] = int(row[en - st])
-                        cache.store(keys[i], vals[i])
-            for (st, en), v in zip(wins, vals):
-                tuples.append((lo, hi, st, en, int(v)))
+            row = levenshtein_last_row(block, seg)
+            for (st, en) in wins:
+                tuples.append((lo, hi, st, en, int(row[en - st])))
     else:
         inner = make_inner(inner_kind, float(payload["eps_inner"]))
-        eps_inner = float(payload["eps_inner"])
         for sp in starts:
             wins = candidate_windows(sp, B, offsets, eps_prime, n_t)
             _M_WINDOWS.inc(len(wins))
@@ -109,16 +88,7 @@ def run_small_block_machine(payload: Dict[str, object]) -> List[EditTuple]:
                 if len(seg) != en - st:  # pragma: no cover - invariant
                     raise AssertionError(
                         "machine feed does not cover candidate")
-                if cache is None:
-                    d = int(inner(block, seg))
-                else:
-                    key = ("ed-pair", inner_kind, eps_inner, block_key,
-                           seg.tobytes())
-                    d = cache.lookup(key)
-                    if d is None:
-                        d = int(inner(block, seg))
-                        cache.store(key, d)
-                tuples.append((lo, hi, st, en, d))
+                tuples.append((lo, hi, st, en, int(inner(block, seg))))
     if top_k is not None and len(tuples) > top_k:
         tuples.sort(key=lambda t: (t[4], t[3] - t[2]))
         tuples = tuples[:top_k]
@@ -197,7 +167,7 @@ def small_distance_phases(S: np.ndarray, T: np.ndarray,
 
     def collect_tuples(outs: List[object], _state: object) -> List[EditTuple]:
         # Per-block cap across machines (each machine capped locally
-        # already); dropped machines (ResilientSimulator "drop") are None.
+        # already); dropped machines (fault-plan "drop" mode) are None.
         by_block: Dict[int, List[EditTuple]] = {}
         for out in outs:
             if out is None:

@@ -6,16 +6,17 @@ resource accounting (rounds, machines, per-machine memory, total work and
 critical-path work).  See DESIGN.md §2 and §5 for the measurement
 conventions.
 
-The fault layer (:mod:`repro.mpc.faults`, :mod:`repro.mpc.chaos_executor`,
-:mod:`repro.mpc.retry`) additionally lets any algorithm run under a
-seeded, replayable failure model — machine crashes, stragglers, payload
-corruption — with bounded-retry recovery and per-round recovery
+The fault layer (:mod:`repro.mpc.faults`) additionally lets any
+algorithm run under a seeded, replayable failure model — machine
+crashes, stragglers, payload corruption: a simulator given a
+:class:`~repro.mpc.faults.FaultPlan` runs each round as waves of
+machines, retrying only the failed subset, with per-round recovery
 accounting.  See docs/ARCHITECTURE.md, "Failure model & recovery".
 
 The plan layer (:mod:`repro.mpc.plan`) is the declarative API drivers
 use: a :class:`~repro.mpc.plan.RoundSpec` bundles a round's machine
 function with its partitioner, optional broadcast blob, and collector,
-and a :class:`~repro.mpc.plan.Pipeline` runs spec sequences on either
+and a :class:`~repro.mpc.plan.Pipeline` runs spec sequences on a
 simulator while charging shuffle/broadcast volume to the ledger.  See
 docs/ARCHITECTURE.md, "Round plans & shuffle accounting".
 
@@ -24,9 +25,8 @@ arrays once into shared-memory segments; payloads then carry tiny
 :class:`~repro.mpc.shm.SharedSlice` descriptors that resolve into numpy
 views inside the executing process, so physical IPC bytes stop scaling
 with payload volume while the word-based ledgers stay byte-identical.
-The sibling :mod:`repro.mpc.distcache` memoises duplicate (block,
-candidate) kernel evaluations (opt-in).  See docs/ARCHITECTURE.md,
-"Data plane: logical words vs physical bytes".
+See docs/ARCHITECTURE.md, "Data plane: logical words vs physical
+bytes".
 
 The telemetry layer (:mod:`repro.mpc.telemetry`) records one span per
 machine invocation (retry attempts included) plus round/collector/run
@@ -37,9 +37,6 @@ when disabled.  See docs/ARCHITECTURE.md, "Telemetry & span model".
 
 from .accounting import (RoundStats, RunStats, WorkMeter, add_work,
                          isolated_meters)
-from .chaos_executor import FaultInjectingExecutor
-from .distcache import (DistanceCache, disable_distance_cache,
-                        distance_cache, enable_distance_cache)
 from .errors import (MachineCrashed, MemoryLimitExceeded, MPCError,
                      RoundFailedError, RoundProtocolError)
 from .executor import Executor, ProcessPoolExecutor, SerialExecutor
@@ -48,7 +45,6 @@ from .faults import (CorruptedOutput, FailedOutput, FaultDecision,
 from .machine import Broadcast, MachineResult, MachineTask, execute_task
 from .partition import block_of, blocks, chunk, pack_by_weight
 from .plan import Pipeline, RoundSpec, run_plan
-from .retry import ResilientSimulator, RetryPolicy
 from .shm import (DataPlane, SharedSlice, active_segments,
                   detach_segments, payload_byte_stats, resolve_payload)
 from .simulator import MPCSimulator, prepare_broadcast
@@ -65,10 +61,8 @@ __all__ = [
     "MemoryLimitExceeded", "MPCError", "RoundProtocolError",
     "MachineCrashed", "RoundFailedError",
     "Executor", "ProcessPoolExecutor", "SerialExecutor",
-    "FaultInjectingExecutor",
     "CorruptedOutput", "FailedOutput", "FaultDecision", "FaultPlan",
     "fault_kind", "is_failed",
-    "ResilientSimulator", "RetryPolicy",
     "Broadcast", "MachineResult", "MachineTask", "execute_task",
     "block_of", "blocks", "chunk", "pack_by_weight",
     "Pipeline", "RoundSpec", "run_plan",
@@ -80,6 +74,4 @@ __all__ = [
     "read_jsonl", "export_chrome_trace",
     "DataPlane", "SharedSlice", "active_segments", "detach_segments",
     "payload_byte_stats", "resolve_payload",
-    "DistanceCache", "enable_distance_cache", "disable_distance_cache",
-    "distance_cache",
 ]

@@ -50,11 +50,10 @@ class RoundProtocolError(MPCError):
 class MachineCrashed(MPCError):
     """A machine task died mid-round (injected by a fault plan).
 
-    Raised inside the machine's own execution context; the
-    fault-injecting executor converts it into a
-    :class:`repro.mpc.faults.FailedOutput` sentinel at the task boundary
-    so sibling machines of the round are unaffected — exactly like a
-    container dying on a real cluster.
+    Never raised across the task boundary: a crashed attempt is recorded
+    as a :class:`repro.mpc.faults.FailedOutput` sentinel carrying this
+    error's message, so sibling machines of the round are unaffected —
+    exactly like a container dying on a real cluster.
     """
 
     def __init__(self, round_name: str, machine_index: int,

@@ -21,21 +21,29 @@ a task on a fresh container.
 Fault kinds
 -----------
 crash
-    The machine raises :class:`~repro.mpc.errors.MachineCrashed` *after*
-    doing its work (the work is genuinely wasted, as it is when a
-    container dies while writing its output).
+    The machine dies *after* doing its work (the work is genuinely
+    wasted, as it is when a container dies while writing its output);
+    its output is a :class:`FailedOutput` carrying the
+    :class:`~repro.mpc.errors.MachineCrashed` message.
 straggle
     The machine finishes but its recorded work and wall time are
-    inflated by a factor sampled uniformly from ``[1, max_factor]``;
-    under a real-time executor the inflation is also slept.
+    inflated by a factor sampled uniformly from ``[1, max_factor]``.
 corrupt
     The machine's output is replaced by a :class:`CorruptedOutput`
     sentinel that fails downstream validation.
 
+Injection happens at the task boundary, exactly where a real cluster
+loses a task: :func:`run_faulty_wave` wraps each machine function under
+its attempt's decision, so a crash or an unexpected exception becomes a
+:class:`FailedOutput` sentinel inside the executing process (a process
+pool cannot propagate one machine's exception without aborting its
+siblings).  The simulator (:class:`~repro.mpc.simulator.MPCSimulator`
+with a ``fault_plan``) turns sentinels into retry waves.
+
 Typical usage::
 
     plan = FaultPlan.from_spec("crash=0.05,straggle=0.1x4", seed=7)
-    decision = plan.decide("ulam/1-candidates", machine_index=3, attempt=1)
+    sim = MPCSimulator(memory_limit=limit, fault_plan=plan)
 """
 
 from __future__ import annotations
@@ -43,9 +51,14 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence
+
+from .errors import MachineCrashed
+from .executor import Executor
+from .machine import Broadcast, MachineResult, MachineTask
 
 __all__ = ["FaultDecision", "FaultPlan", "CorruptedOutput", "FailedOutput",
-           "is_failed", "fault_kind"]
+           "is_failed", "fault_kind", "run_faulty_wave"]
 
 
 @dataclass(frozen=True)
@@ -72,7 +85,7 @@ class CorruptedOutput:
 
     It deliberately carries no usable data, so any consumer that fails
     to validate its inputs will break loudly rather than silently fold
-    garbage into the answer.  :class:`~repro.mpc.retry.ResilientSimulator`
+    garbage into the answer.  A simulator running under a fault plan
     recognises it and reschedules the machine instead.
     """
 
@@ -83,13 +96,13 @@ class CorruptedOutput:
 
 @dataclass(frozen=True)
 class FailedOutput:
-    """Executor-layer record of a machine attempt that did not produce
+    """Task-boundary record of a machine attempt that did not produce
     usable output (crash or unexpected exception).
 
     The process-pool executor cannot propagate per-machine exceptions
-    without aborting the whole round, so the fault-injecting executor
-    converts them into this sentinel at the task boundary; the resilient
-    simulator turns sentinels back into retries (or
+    without aborting the whole round, so under a fault plan they become
+    this sentinel inside the executing process; the simulator turns
+    sentinels back into retries (or
     :class:`~repro.mpc.errors.RoundFailedError`).
     """
 
@@ -125,8 +138,7 @@ class FaultPlan:
     Parameters
     ----------
     crash:
-        Probability that an attempt crashes (raises
-        :class:`~repro.mpc.errors.MachineCrashed` after doing its work).
+        Probability that an attempt crashes after doing its work.
     straggle:
         Probability that an attempt straggles.
     straggle_factor:
@@ -241,3 +253,60 @@ class FaultPlan:
     def expected_failure_rate(self) -> float:
         """Probability that a single attempt needs to be re-executed."""
         return 1.0 - (1.0 - self.crash) * (1.0 - self.corrupt)
+
+
+@dataclass(frozen=True)
+class _InjectedCall:
+    """Picklable wrapper running one machine function under a decision."""
+
+    fn: Callable[[Any], Any]
+    decision: FaultDecision
+    round_name: str
+    machine_index: int
+    attempt: int
+
+    def __call__(self, payload: Any) -> Any:
+        try:
+            output = self.fn(payload)
+        except Exception as exc:  # genuine machine bug: retryable too
+            return FailedOutput(kind="error", round_name=self.round_name,
+                                machine_index=self.machine_index,
+                                attempt=self.attempt, message=repr(exc))
+        if self.decision.crash:     # after the work: it is wasted
+            return FailedOutput(
+                kind="crash", round_name=self.round_name,
+                machine_index=self.machine_index, attempt=self.attempt,
+                message=str(MachineCrashed(self.round_name,
+                                           self.machine_index,
+                                           self.attempt)))
+        if self.decision.corrupt:
+            return CorruptedOutput(self.round_name, self.machine_index,
+                                   self.attempt)
+        return output
+
+
+def run_faulty_wave(plan: FaultPlan, executor: Executor,
+                    broadcast: Optional[Broadcast], round_name: str,
+                    attempt: int, fn: Callable[[Any], Any],
+                    payloads: Sequence[Any], indices: Sequence[int]
+                    ) -> List[MachineResult]:
+    """Run one execution wave of a round under *plan*.
+
+    Machine ``i`` of *indices* (its original index in the round, so it
+    keeps its fault stream across retries) runs ``fn(payloads[i])``
+    wrapped under ``plan.decide(round_name, i, attempt)`` on
+    ``executor.run``.  Stragglers' recorded work and wall time are then
+    inflated by their factor — telemetry reads a span as
+    ``[started, started + wall_seconds)``, so the straggler's span
+    stretches exactly as the round's recorded wall clock does.
+    """
+    decisions = [plan.decide(round_name, i, attempt) for i in indices]
+    results = executor.run(
+        [MachineTask(fn=_InjectedCall(fn, decision, round_name, i, attempt),
+                     payload=payloads[i])
+         for i, decision in zip(indices, decisions)], broadcast)
+    for result, decision in zip(results, decisions):
+        if decision.straggle_factor > 1.0:
+            result.work = int(result.work * decision.straggle_factor)
+            result.wall_seconds *= decision.straggle_factor
+    return results

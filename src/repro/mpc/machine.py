@@ -44,7 +44,7 @@ class Broadcast:
 
     Wraps the driver-supplied dict for the trip through the executor
     stack.  :meth:`pickled` memoises the serialised form, so however many
-    execution waves a resilient simulator needs, the blob's own
+    execution waves a fault plan's retries need, the blob's own
     ``__reduce__`` machinery runs at most once per round.
     """
 
@@ -142,8 +142,8 @@ def execute_task(task: MachineTask,
 
     Data-plane descriptors (:class:`repro.mpc.shm.SharedSlice`) inside
     the payload are resolved into numpy views *here*, in the executing
-    process — the single choke point shared by the serial, process-pool
-    and fault-injecting executors — and outside the work meter, because
+    process — the single choke point shared by the serial and
+    process-pool executors, fault plan or not — and outside the work meter, because
     resolution is transport, not machine compute.
     """
     if metered is not None:

@@ -16,24 +16,24 @@ Typical usage::
     sim.stats.summary()
 
 To run the same rounds under an injected failure model (machine crashes,
-stragglers, corrupted payloads) with bounded-retry recovery, use the
-:class:`repro.mpc.retry.ResilientSimulator` subclass — without a fault
-plan it executes this class's ``run_round`` unchanged.
+stragglers, corrupted payloads) with bounded-retry recovery, pass a
+:class:`~repro.mpc.faults.FaultPlan`: ``run_round`` then executes each
+round as waves of machines, re-running only the failed subset.  Without
+a plan a round is exactly one wave of the caller's unwrapped tasks.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from typing import Dict, Tuple
-
-from ..obs.profile import fold_machine
+from ..obs.profile import fold_machine, profiling_enabled
 from .accounting import RoundStats, RunStats, add_work
-from .errors import MemoryLimitExceeded, RoundProtocolError
+from .errors import MemoryLimitExceeded, RoundFailedError, RoundProtocolError
 from .executor import Executor, SerialExecutor
-from .machine import Broadcast, MachineTask
+from .faults import FaultPlan, fault_kind, is_failed, run_faulty_wave
+from .machine import Broadcast, MachineResult, MachineTask
 from .sizeof import sizeof
 from .telemetry import Span, Tracer, current_trace
 
@@ -96,17 +96,49 @@ class MPCSimulator:
         machine invocation and every round emits a span.  ``None``
         (default) disables telemetry entirely — the only cost is one
         ``is None`` check per round, the same cheap-no-op pattern as
-        :func:`~repro.mpc.accounting.add_work`.
+        :func:`~repro.mpc.accounting.add_work`.  Under a fault plan every
+        attempt emits its own machine span: discarded attempts carry
+        ``wasted=True`` and their fault kind.
+    fault_plan:
+        Optional seeded :class:`~repro.mpc.faults.FaultPlan`.  ``None``
+        (default) runs every round as one wave of the caller's tasks;
+        with a plan, crashed, corrupted or raising machines are
+        re-executed (same payload and machine index, next attempt
+        number) until they succeed or *max_attempts* waves have run.
+    max_attempts:
+        Execution waves per round under a plan, first run included.
+    on_exhausted:
+        ``"raise"`` (default) raises
+        :class:`~repro.mpc.errors.RoundFailedError` naming the round and
+        the still-failing machines; ``"drop"`` leaves ``None`` at their
+        positions in the output list (so positional consumers stay
+        aligned) and records the loss in the ledger — tolerable for the
+        Ulam/edit combiners, whose candidate sets are only pruned by a
+        missing machine.  A round whose *every* machine is dropped
+        raises regardless: there is no surviving contribution to
+        degrade to.
     """
 
     def __init__(self, memory_limit: Optional[int] = None,
                  executor: Optional[Executor] = None,
                  strict: bool = True,
-                 tracer: Optional[Tracer] = None) -> None:
+                 tracer: Optional[Tracer] = None,
+                 fault_plan: Optional[FaultPlan] = None,
+                 max_attempts: int = 3,
+                 on_exhausted: str = "raise") -> None:
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1, got "
+                             f"{max_attempts!r}")
+        if on_exhausted not in ("raise", "drop"):
+            raise ValueError("on_exhausted must be 'raise' or 'drop', got "
+                             f"{on_exhausted!r}")
         self.memory_limit = memory_limit
         self.executor = executor or SerialExecutor()
         self.strict = strict
         self.tracer = tracer
+        self.fault_plan = fault_plan
+        self.max_attempts = max_attempts
+        self.on_exhausted = on_exhausted
         self.stats = RunStats()
         self.violations: List[MemoryLimitExceeded] = []
 
@@ -130,7 +162,8 @@ class MPCSimulator:
 
         Every element of *payloads* is routed to its own machine, which
         runs ``fn(payload)``.  Returns the machine outputs in payload
-        order.
+        order; under ``on_exhausted="drop"`` a dropped machine's entry
+        is ``None``.
 
         Parameters
         ----------
@@ -152,7 +185,8 @@ class MPCSimulator:
             (``fn({**broadcast, **payload})``).  Charged to each
             machine's memory exactly as if replicated into the payload,
             but shipped to process-pool workers once per worker per
-            round instead of once per machine.
+            round instead of once per machine — and wrapped once per
+            round, so retry waves reuse the same serialised bytes.
         """
         payloads = list(payloads)
         if not payloads and not allow_empty:
@@ -167,14 +201,63 @@ class MPCSimulator:
             self._check(name, i, "input", words)
             input_sizes.append(words)
 
+        plan = self.fault_plan
+        tracer = self.tracer
+        results: List[Optional[MachineResult]] = [None] * len(payloads)
+        succeeded_at = [1] * len(payloads)
+        pending = list(range(len(payloads)))
+        retried: set = set()
+        attempt = 0
         start = time.perf_counter()
-        results = self.executor.run(
-            [MachineTask(fn=fn, payload=p) for p in payloads], blob)
+        while True:
+            attempt += 1
+            if plan is None:
+                wave = self.executor.run(
+                    [MachineTask(fn=fn, payload=p) for p in payloads], blob)
+            else:
+                wave = run_faulty_wave(plan, self.executor, blob, name,
+                                       attempt, fn, payloads, pending)
+            failed: List[int] = []
+            for i, result in zip(pending, wave):
+                if plan is None or not is_failed(result.output):
+                    results[i] = result
+                    succeeded_at[i] = attempt
+                    continue
+                failed.append(i)
+                round_stats.failed_attempts += 1
+                round_stats.wasted_work += result.work
+                round_stats.wasted_wall_seconds += result.wall_seconds
+                # The cluster really burned this work; charge any
+                # enclosing meter even though the output is discarded.
+                add_work(result.work)
+                if tracer is not None:
+                    tracer.emit(Span(
+                        kind="machine", name=name, machine=i,
+                        attempt=attempt, worker=result.worker,
+                        start=result.started,
+                        end=result.started + result.wall_seconds,
+                        work=result.work, input_words=input_sizes[i],
+                        broadcast_words=broadcast_words,
+                        wasted=True, fault=fault_kind(result.output),
+                        profile=(result.profile or {})
+                        if profiling_enabled() else {}))
+            if not failed:
+                break
+            if attempt >= self.max_attempts:
+                if self.on_exhausted == "raise" \
+                        or len(failed) == len(payloads):
+                    raise RoundFailedError(name, failed, attempt)
+                break               # drop: the failed machines stay None
+            retried.update(failed)
+            pending = failed
         round_stats.wall_seconds = time.perf_counter() - start
 
-        tracer = self.tracer
         outputs: List[Any] = []
         for i, result in enumerate(results):
+            if result is None:      # dropped: placeholder keeps alignment
+                round_stats.dropped_machines += 1
+                outputs.append(None)
+                continue
             out_words = sizeof(result.output)
             self._check(name, i, "output", out_words)
             round_stats.observe_machine(input_sizes[i], out_words,
@@ -183,12 +266,15 @@ class MPCSimulator:
             # itself, so ``with WorkMeter() as m: algo(sim)`` sees the whole
             # computation even under a process-pool executor.
             add_work(result.work)
+            # Only surviving attempts reach the counters and the kernel
+            # profile: wasted attempts are accounted as wasted_work.
             span_profile = fold_machine(round_stats, i, result.profile,
                                         *current_trace())
             if tracer is not None:
                 tracer.emit(Span(
                     kind="machine", name=name, machine=i,
-                    worker=result.worker, start=result.started,
+                    attempt=succeeded_at[i], worker=result.worker,
+                    start=result.started,
                     end=result.started + result.wall_seconds,
                     work=result.work, input_words=input_sizes[i],
                     output_words=out_words,
@@ -196,6 +282,8 @@ class MPCSimulator:
                     profile=span_profile))
             outputs.append(result.output)
 
+        round_stats.attempts = attempt
+        round_stats.retried_machines = len(retried)
         if tracer is not None:
             tracer.emit(Span(
                 kind="round", name=name, worker=os.getpid(),
@@ -209,15 +297,19 @@ class MPCSimulator:
 
     # ------------------------------------------------------------------
     def spawn(self) -> "MPCSimulator":
-        """Create a sibling simulator sharing limits/executor but not stats.
+        """Create a sibling simulator sharing limits, executor, tracer and
+        fault plan, but not stats.
 
         Used by drivers that explore several parameter guesses "in
         parallel" (the paper's ``n^δ`` guessing): each guess runs on its
-        own simulator and the driver merges the statistics afterwards.
+        own simulator — under the same failure model — and the driver
+        merges the statistics, recovery counters included, afterwards.
         """
         return MPCSimulator(memory_limit=self.memory_limit,
                             executor=self.executor, strict=self.strict,
-                            tracer=self.tracer)
+                            tracer=self.tracer, fault_plan=self.fault_plan,
+                            max_attempts=self.max_attempts,
+                            on_exhausted=self.on_exhausted)
 
     def absorb(self, other: "MPCSimulator") -> None:
         """Merge a sibling simulator's rounds as if run concurrently."""

@@ -56,7 +56,6 @@ from ..engines import (Engine, EngineRequest, NoEngineError,
 from ..metrics import get_registry, scoped_snapshot
 from ..mpc.executor import Executor, ProcessPoolExecutor, SerialExecutor
 from ..mpc.faults import FaultPlan
-from ..mpc.retry import ResilientSimulator, RetryPolicy
 from ..mpc.shm import active_segments
 from ..mpc.simulator import MPCSimulator
 from ..mpc.telemetry import Tracer, trace_context
@@ -345,9 +344,11 @@ class DistanceService:
         Raises :class:`AdmissionError` (before any round runs) when the
         service is closing, the corpus is unknown, the engine does not
         answer ``algo`` or refuses the corpus (size outside its regime,
-        duplicates where it requires duplicate-free input), or the
-        query's per-machine memory exceeds ``machine_memory_cap``.
-        Must be called with a running event loop.
+        duplicates where it requires duplicate-free input), the recovery
+        knobs are invalid (``max_attempts < 1``, unknown
+        ``on_exhausted``), or the query's per-machine memory exceeds
+        ``machine_memory_cap``.  Must be called with a running event
+        loop.
         """
         if self._closing:
             raise AdmissionError("service is shutting down")
@@ -370,7 +371,8 @@ class DistanceService:
         try:
             query = eng.make_query(corpus, x=x, eps=eps, seed=seed,
                                    config=config, keep_tuples=keep_tuples)
-        except ValueError as exc:
+            sim = self._make_sim(spec, query.params.memory_limit)
+        except ValueError as exc:   # bad parameters or recovery knobs
             raise AdmissionError(str(exc)) from exc
         memory_limit = query.params.memory_limit
         if self._machine_memory_cap is not None \
@@ -389,7 +391,7 @@ class DistanceService:
         # segments under an admitted query whose task has not started.
         corpus.retain()
         task = asyncio.get_running_loop().create_task(
-            self._execute(query_id, trace_id, spec, corpus, query))
+            self._execute(query_id, trace_id, spec, corpus, query, sim))
         handle = QueryHandle(query_id, algo, corpus_id, task,
                              engine=spec.engine_name, trace_id=trace_id)
         self._handles[query_id] = handle
@@ -444,14 +446,11 @@ class DistanceService:
                 f"(0, {caps.regime.max_x}]")
 
     def _make_sim(self, spec: _QuerySpec, memory_limit: Optional[int]):
-        if spec.fault_plan is not None:
-            return ResilientSimulator(
-                memory_limit=memory_limit, executor=self._executor,
-                fault_plan=spec.fault_plan,
-                retry_policy=RetryPolicy(max_attempts=spec.max_attempts),
-                on_exhausted=spec.on_exhausted, tracer=self._tracer)
         return MPCSimulator(memory_limit=memory_limit,
-                            executor=self._executor, tracer=self._tracer)
+                            executor=self._executor, tracer=self._tracer,
+                            fault_plan=spec.fault_plan,
+                            max_attempts=spec.max_attempts,
+                            on_exhausted=spec.on_exhausted)
 
     # -- execution -----------------------------------------------------
     def _semaphores(self):
@@ -476,7 +475,7 @@ class DistanceService:
 
     async def _execute(self, query_id: int, trace_id: str,
                        spec: _QuerySpec, corpus: Corpus,
-                       query) -> QueryOutcome:
+                       query, sim: MPCSimulator) -> QueryOutcome:
         # The corpus reference was taken in submit(); the finally below
         # is its sole owner.  The trace context wraps the whole
         # execution, so every span the query emits — simulator rounds,
@@ -487,7 +486,6 @@ class DistanceService:
         start = time.perf_counter()
         try:
             with trace_context(trace_id, query_id):
-                sim = self._make_sim(spec, query.params.memory_limit)
                 self._queued += 1
                 try:
                     await query_slots.acquire()

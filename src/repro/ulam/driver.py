@@ -40,7 +40,7 @@ from ..mpc.sizeof import sizeof
 from ..params import UlamParams
 from ..service.corpus import Corpus
 from ..service.runner import run_query
-from ..strings.ulam import check_duplicate_free
+from ..strings.ulam import check_duplicate_free, ulam_distance
 from .candidates import (CandidateTuple, make_block_part,
                          make_round1_broadcast, run_block_machine)
 from .combine import run_combine_machine
@@ -89,7 +89,9 @@ class UlamQuery:
                  config: Optional[UlamConfig] = None, seed: int = 0,
                  keep_tuples: bool = False) -> None:
         self.corpus = corpus
-        self.params = UlamParams(n=len(corpus.S), x=x, eps=eps)
+        # n <= 1 is answered directly (no rounds); its params are the
+        # smallest valid ones, so admission still sees a memory limit.
+        self.params = UlamParams(n=max(len(corpus.S), 2), x=x, eps=eps)
         self.config = config or UlamConfig.default()
         self.seed = seed
         self.keep_tuples = keep_tuples
@@ -102,6 +104,13 @@ class UlamQuery:
         n = len(S)
         params = self.params
         config = self.config
+
+        if n <= 1:
+            # Degenerate inputs: solved directly (no rounds).
+            self.result = UlamResult(distance=ulam_distance(S, T), n=n,
+                                     params=params, stats=RunStats(),
+                                     n_tuples=0)
+            return
 
         # The phase-2 machine must hold every shipped tuple, so the
         # per-block shipping cap adapts to the memory budget: ship at
@@ -126,7 +135,7 @@ class UlamQuery:
                     lo, hi, corpus.slice_positions(lo, hi),
                     self.seed * (1 << 20) + bi))
 
-            # A ResilientSimulator in drop mode leaves None at dropped
+            # A fault-plan simulator in drop mode leaves None at dropped
             # machines' positions; their candidates are simply pruned
             # by the collector.
             tuples: List[CandidateTuple] = Pipeline(sim).round(RoundSpec(
@@ -198,7 +207,7 @@ def mpc_ulam(s, t, x: float = 0.25, eps: float = 0.5,
         Optional pre-configured simulator (e.g. with a process-pool
         executor or a custom memory cap).  By default a strict simulator
         with the paper's memory limit is created.  Pass a
-        :class:`repro.mpc.ResilientSimulator` with a fault plan to run
+        :class:`repro.mpc.MPCSimulator` with a ``fault_plan`` to run
         the algorithm under injected machine failures with bounded-retry
         recovery; with ``on_exhausted="drop"`` the combine step tolerates
         lost block machines (the candidate set is only pruned) and the
@@ -224,17 +233,18 @@ def mpc_ulam(s, t, x: float = 0.25, eps: float = 0.5,
     UlamResult
         ``distance`` is a valid upper bound on ``ulam(s, t)`` and a
         ``1+eps`` approximation w.h.p.; ``stats`` holds the measured MPC
-        resources (2 rounds).
+        resources (2 rounds; none for ``len(s) <= 1``, which is answered
+        exactly without a round).
     """
     S = check_duplicate_free(s, "s")
     T = check_duplicate_free(t, "t")
-    params = UlamParams(n=len(S), x=x, eps=eps)
-    if sim is None:
-        sim = MPCSimulator(memory_limit=params.memory_limit)
-    corpus = Corpus(S, T, use_plane=data_plane, tracer=sim.tracer)
+    corpus = Corpus(S, T, use_plane=data_plane,
+                    tracer=sim.tracer if sim is not None else None)
     try:
         query = UlamQuery(corpus, x=x, eps=eps, config=config, seed=seed,
                           keep_tuples=keep_tuples)
+        if sim is None:
+            sim = MPCSimulator(memory_limit=query.params.memory_limit)
         return run_query(query, sim)
     finally:
         # One-shot corpora are ephemeral: segments die with the run

@@ -170,12 +170,11 @@ class TestTelemetryCommands:
         s, t, _ = planted_pair(n, budget, seed=0, style="mixed")
         sim = None
         if fault_plan is not None:
-            from repro.mpc import (FaultPlan, ResilientSimulator,
-                                   RetryPolicy)
-            sim = ResilientSimulator(
+            from repro.mpc import FaultPlan, MPCSimulator
+            sim = MPCSimulator(
                 memory_limit=UlamParams(n=n, x=0.4, eps=0.5).memory_limit,
                 fault_plan=FaultPlan.from_spec(fault_plan, seed=0),
-                retry_policy=RetryPolicy(max_attempts=retries))
+                max_attempts=retries)
         return mpc_ulam(s, t, x=0.4, eps=0.5, seed=0, sim=sim).stats
 
     def test_trace_flag_writes_spans_matching_ledger(self, tmp_path,

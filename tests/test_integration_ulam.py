@@ -55,6 +55,17 @@ class TestApproximationGuarantee:
         exact = ulam_distance(s, t)
         assert exact <= res.distance <= (1 + EPS) * max(exact, 1)
 
+    @pytest.mark.parametrize("s, t", [([], []), ([0], [0]), ([0], [1]),
+                                      ([], [2, 0, 1]), ([4], []),
+                                      ([1], [3, 1, 2])])
+    def test_degenerate_inputs_answered_without_rounds(self, s, t):
+        # n <= 1 (empty, one symbol, unequal lengths) is answered exactly,
+        # like mpc_edit_distance's trivial regime.
+        res = mpc_ulam(s, t, x=X, eps=EPS)
+        assert res.distance == ulam_distance(s, t)
+        assert res.n == len(s)
+        assert res.stats.n_rounds == 0 and res.n_tuples == 0
+
     def test_seed_sweep_high_probability(self):
         """Theorem 4 is w.h.p. over the hitting-set coins: the guarantee
         must hold across many seeds, not for one lucky draw."""

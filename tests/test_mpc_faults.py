@@ -1,11 +1,10 @@
-"""Unit tests for fault plans and the fault-injecting executor."""
+"""Unit tests for fault plans and their injection into rounds."""
 
 import pytest
 
-from repro.mpc import (CorruptedOutput, FailedOutput, FaultDecision,
-                       FaultInjectingExecutor, FaultPlan, MachineTask,
-                       ProcessPoolExecutor, SerialExecutor, add_work,
-                       is_failed)
+from repro.mpc import (FaultDecision, FaultPlan, MPCSimulator,
+                       ProcessPoolExecutor, RoundFailedError, Tracer,
+                       add_work)
 
 
 def _work10(payload):
@@ -93,71 +92,66 @@ class TestFaultPlanDecide:
             FaultPlan(straggle_factor=0.5)
 
 
-class TestFaultInjectingExecutor:
-    def _run(self, plan, fn=_work10, n=8, attempt=1, inner=None,
-             realtime=False):
-        ex = FaultInjectingExecutor(inner=inner, plan=plan,
-                                    realtime=realtime)
-        ex.set_round("r")
-        tasks = [MachineTask(fn=fn, payload=i) for i in range(n)]
-        return ex.run_attempt(tasks, range(n), attempt)
+class TestInjection:
+    """A plan's decisions applied by the simulator's round loop."""
+
+    def _sim(self, plan, executor=None, max_attempts=1):
+        return MPCSimulator(executor=executor, fault_plan=plan,
+                            max_attempts=max_attempts, on_exhausted="drop",
+                            tracer=Tracer.in_memory())
+
+    @staticmethod
+    def _wasted(sim):
+        return [(s.machine, s.attempt, s.fault, s.work)
+                for s in sim.tracer.spans if s.wasted]
 
     def test_no_plan_passthrough(self):
-        results = self._run(FaultPlan())
-        assert [r.output for r in results] == [i * 2 for i in range(8)]
-        assert all(r.work == 10 for r in results)
+        sim = self._sim(FaultPlan())
+        assert sim.run_round("r", _work10, list(range(8))) == \
+            [i * 2 for i in range(8)]
+        r = sim.stats.rounds[0]
+        assert (r.total_work, r.max_work, r.attempts) == (80, 10, 1)
+        assert self._wasted(sim) == []
 
     def test_crash_becomes_failed_output(self):
-        results = self._run(FaultPlan(crash=1.0, seed=0))
-        for i, r in enumerate(results):
-            assert isinstance(r.output, FailedOutput)
-            assert r.output.kind == "crash"
-            assert r.output.machine_index == i
-            assert is_failed(r.output)
+        sim = self._sim(FaultPlan(crash=1.0, seed=0))
+        with pytest.raises(RoundFailedError) as exc:
+            sim.run_round("r", _work10, list(range(8)))
+        assert exc.value.failed_machines == list(range(8))
         # the crashed attempt still burned its work
-        assert all(r.work == 10 for r in results)
+        assert self._wasted(sim) == [(i, 1, "crash", 10) for i in range(8)]
 
     def test_corrupt_becomes_sentinel(self):
-        results = self._run(FaultPlan(corrupt=1.0, seed=0))
-        for r in results:
-            assert isinstance(r.output, CorruptedOutput)
-            assert is_failed(r.output)
+        sim = self._sim(FaultPlan(corrupt=1.0, seed=0))
+        with pytest.raises(RoundFailedError):
+            sim.run_round("r", _work10, list(range(8)))
+        assert [f for _, _, f, _ in self._wasted(sim)] == ["corrupt"] * 8
 
     def test_straggle_inflates_work_and_wall(self):
-        clean = self._run(FaultPlan())
-        slow = self._run(FaultPlan(straggle=1.0, straggle_factor=8.0,
+        clean = self._sim(FaultPlan())
+        slow = self._sim(FaultPlan(straggle=1.0, straggle_factor=8.0,
                                    seed=0))
-        assert sum(r.work for r in slow) > sum(r.work for r in clean)
-        assert all(r.work >= 10 for r in slow)
+        outs = [sim.run_round("r", _work10, list(range(8)))
+                for sim in (clean, slow)]
+        assert outs[0] == outs[1]
+        assert slow.stats.total_work > clean.stats.total_work
+        machines = [s for s in slow.tracer.spans if s.kind == "machine"]
+        assert all(s.work >= 10 for s in machines)
+        assert not any(s.wasted for s in machines)
 
     def test_machine_exception_captured_not_propagated(self):
-        results = self._run(FaultPlan(), fn=_boom, n=2)
-        for r in results:
-            assert isinstance(r.output, FailedOutput)
-            assert r.output.kind == "error"
-            assert "ValueError" in r.output.message
-
-    def test_plain_run_protocol_is_attempt_one(self):
-        plan = FaultPlan(crash=0.5, seed=1)
-        ex = FaultInjectingExecutor(plan=plan)
-        ex.set_round("r")
-        tasks = [MachineTask(fn=_work10, payload=i) for i in range(16)]
-        via_run = [is_failed(r.output) for r in ex.run(tasks)]
-        via_attempt = [is_failed(r.output)
-                       for r in ex.run_attempt(tasks, range(16), 1)]
-        assert via_run == via_attempt
+        sim = self._sim(FaultPlan())
+        with pytest.raises(RoundFailedError):
+            sim.run_round("r", _boom, [0, 1])
+        assert [f for _, _, f, _ in self._wasted(sim)] == ["error"] * 2
 
     def test_pool_and_serial_inject_identically(self):
         plan = FaultPlan(crash=0.4, corrupt=0.2, seed=9)
-        serial = self._run(plan, n=12)
+        serial = self._sim(plan)
+        serial_out = serial.run_round("r", _work10, list(range(12)))
         with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled = self._run(plan, n=12, inner=pool)
-        assert ([is_failed(r.output) for r in serial]
-                == [is_failed(r.output) for r in pooled])
-        assert ([type(r.output).__name__ for r in serial]
-                == [type(r.output).__name__ for r in pooled])
-
-    def test_misaligned_indices_rejected(self):
-        ex = FaultInjectingExecutor(plan=FaultPlan())
-        with pytest.raises(ValueError):
-            ex.run_attempt([MachineTask(fn=_work10, payload=1)], [0, 1], 1)
+            pooled = self._sim(plan, executor=pool)
+            pooled_out = pooled.run_round("r", _work10, list(range(12)))
+        assert serial_out == pooled_out
+        assert self._wasted(serial) == self._wasted(pooled)
+        assert self._wasted(serial)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.mpc import (FaultDecision, InMemorySink, JsonlSink,
                        MPCSimulator, Pipeline, ProcessPoolExecutor,
-                       ResilientSimulator, RetryPolicy, RoundSpec, Span,
+                       RoundSpec, Span,
                        Tracer, add_work, export_chrome_trace, read_jsonl)
 from repro.mpc.telemetry import span_from_dict
 
@@ -244,9 +244,9 @@ class TestProcessPoolSpans:
     def test_worker_attribution_under_fault_plan(self):
         tracer = Tracer.in_memory()
         with ProcessPoolExecutor(max_workers=2) as pool:
-            sim = ResilientSimulator(
+            sim = MPCSimulator(
                 executor=pool, fault_plan=_CrashPlan([(0, 1)]),
-                retry_policy=RetryPolicy(max_attempts=3), tracer=tracer)
+                max_attempts=3, tracer=tracer)
             out = sim.run_round("r", _work10, list(range(4)))
         assert out == [1, 2, 3, 4]
         machine = [s for s in tracer.spans if s.kind == "machine"]
@@ -256,9 +256,9 @@ class TestProcessPoolSpans:
 
 class TestChaosSpans:
     def test_crashed_then_retried_machine_yields_two_spans(self):
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             fault_plan=_CrashPlan([(1, 1)]),
-            retry_policy=RetryPolicy(max_attempts=3),
+            max_attempts=3,
             tracer=Tracer.in_memory())
         out = sim.run_round("r", _work10, [1, 2, 3])
         assert out == [2, 3, 4]
@@ -276,18 +276,18 @@ class TestChaosSpans:
         assert n_machine == sim.stats.total_machine_attempts == 4
 
     def test_corrupt_fault_labelled(self):
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             fault_plan=_CrashPlan([], corrupt=[(0, 1)]),
-            retry_policy=RetryPolicy(max_attempts=3),
+            max_attempts=3,
             tracer=Tracer.in_memory())
         sim.run_round("r", _work10, [1])
         wasted = [s for s in sim.tracer.spans if s.wasted]
         assert [s.fault for s in wasted] == ["corrupt"]
 
     def test_dropped_machine_has_only_wasted_spans(self):
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             fault_plan=_CrashPlan([(0, 1), (0, 2)]),
-            retry_policy=RetryPolicy(max_attempts=2),
+            max_attempts=2,
             on_exhausted="drop", tracer=Tracer.in_memory())
         out = sim.run_round("r", _work10, [1, 2])
         assert out[0] is None and out[1] == 3
@@ -298,7 +298,7 @@ class TestChaosSpans:
         assert sim.stats.total_machine_attempts == 3
 
     def test_no_plan_resilient_emits_like_base(self):
-        sim = ResilientSimulator(tracer=Tracer.in_memory())
+        sim = MPCSimulator(tracer=Tracer.in_memory())
         sim.run_round("r", _work10, [1, 2])
         kinds = sorted(s.kind for s in sim.tracer.spans)
         assert kinds == ["machine", "machine", "round"]
@@ -327,9 +327,9 @@ class TestPipelineSpans:
 class TestChromeExport:
     def _spans(self):
         tracer = Tracer.in_memory()
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             fault_plan=_CrashPlan([(0, 1)]),
-            retry_policy=RetryPolicy(max_attempts=3), tracer=tracer)
+            max_attempts=3, tracer=tracer)
         with tracer.span("run", "test"):
             sim.run_round("r", _work10, [1, 2])
         return tracer.spans

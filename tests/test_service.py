@@ -144,6 +144,19 @@ class TestServiceBasics:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize("knobs", [{"on_exhausted": "explode"},
+                                       {"max_attempts": 0}])
+    def test_bad_recovery_knobs_rejected_at_admission(self, knobs):
+        (s_p, t_p), _ = _pairs()
+
+        async def main():
+            async with DistanceService() as service:
+                cid = service.register_corpus(s_p, t_p)
+                with pytest.raises(AdmissionError):
+                    service.submit("ulam", cid, **knobs)
+
+        asyncio.run(main())
+
     def test_memory_cap_rejects_oversized_query(self):
         (s_p, t_p), _ = _pairs()
 
@@ -168,6 +181,20 @@ class TestServiceBasics:
                 service.register_corpus(s_p, t_p)
 
         asyncio.run(main())
+
+    def test_degenerate_ulam_inputs_answered(self):
+        # n <= 1 is inside ulam-mpc's regime: answered with zero rounds
+        # exactly as the one-shot driver answers it, not refused.
+        pairs = [([], []), ([7], [7]), ([], [1, 0]), ([2], [0, 1, 2])]
+        outcomes, _ = run_workload(
+            [{"algo": "ulam", "s": s, "t": t, "seed": 1} for s, t in pairs],
+            check_guarantees=True)
+        for (s, t), o in zip(pairs, outcomes):
+            one_shot = mpc_ulam(s, t, seed=1)
+            assert o.distance == one_shot.distance
+            assert o.stats.n_rounds == 0
+            assert _ledger(o.stats) == _ledger(one_shot.stats)
+            assert o.guarantees_passed is True
 
     def test_guarantee_monitor_runs_per_query(self):
         (s_p, t_p), _ = _pairs()

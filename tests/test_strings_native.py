@@ -3,8 +3,7 @@
 The dispatch contract of :mod:`repro.strings.native` is that backends
 ("pure" vs the ambient batch backend) differ **only** in wall-clock:
 distances, abstract work, ``strings.*`` metric deltas, kernel-probe
-call/cell attribution and distance-cache hit/miss counters are
-byte-identical.  These tests drive every batch entry point through
+call/cell attribution are byte-identical.  These tests drive every batch entry point through
 both backends on random and boundary inputs and compare all of it.
 """
 
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 from repro.metrics import enabled as metrics_enabled
 from repro.metrics import scoped_snapshot
 from repro.mpc import WorkMeter
-from repro.mpc.distcache import DistanceCache
 from repro.obs import profile as obs_profile
 from repro.obs.profile import collect_profile
 from repro.strings import (kernel_backend, levenshtein_doubling,
@@ -201,41 +199,19 @@ class TestUlamBatchEquivalence:
         batch = _assert_backends_agree(lambda: ulam_auto_batch(jobs))
         assert batch == [0, 5]
 
-
-class TestCacheFolding:
-    """Intra-batch dedupe keeps cache hit/miss counters byte-identical
-    to the scalar per-call path."""
-
-    def _windows(self, rng):
-        from repro.ulam.candidates import _window_distances
-        windows = []
+    def test_duplicate_windows_match_scalar(self, rng):
+        # A candidate machine's windows can repeat content; every repeat
+        # is evaluated (and metered) like any other job.
+        jobs = []
         for _ in range(6):
             c = int(rng.integers(2, 10))
             i_sel = np.sort(rng.choice(16, size=c,
                                        replace=False)).astype(np.int64)
-            p_rel = rng.permutation(c).astype(np.int64)
-            windows.append((0, 16, i_sel, p_rel))
-        # Duplicate content: repeats must be hits on both backends.
-        windows += [windows[0], windows[2], windows[0]]
-        return _window_distances, windows
-
-    def test_hit_miss_counters_match(self, rng):
-        fn, windows = self._windows(rng)
-        with use_backend("pure"):
-            cache_p = DistanceCache()
-            dists_p = fn(windows, 16, cache_p)
-        cache_b = DistanceCache()
-        dists_b = fn(windows, 16, cache_b)
-        assert dists_p == dists_b
-        assert (cache_p.hits, cache_p.misses) == \
-            (cache_b.hits, cache_b.misses)
-        assert cache_b.hits == 3
-
-    def test_uncached_path_matches(self, rng):
-        fn, windows = self._windows(rng)
-        with use_backend("pure"):
-            dists_p = fn(windows, 16, None)
-        assert fn(windows, 16, None) == dists_p
+            jobs.append((i_sel, rng.permutation(c).astype(np.int64), 16,
+                         16))
+        jobs += [jobs[0], jobs[2], jobs[0]]
+        batch = _assert_backends_agree(lambda: ulam_auto_batch(jobs))
+        assert batch == [ulam_auto(*job) for job in jobs]
 
 
 class TestBlockMachineEquivalence:
